@@ -26,10 +26,10 @@ import yaml
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
 from . import nn as nnmod
-from .audio import Waveform, load_wav, log_mel, mel_bank
+from .audio import HOP, N_FFT, N_MELS, Waveform, load_wav, log_mel, mel_bank
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
-from .quanv import quanv_forward
+from .quanv import ENCODING, filter_terms, quanv_forward
 from .tensorio import load_tensor, save_tensor
 
 log = logging.getLogger(__name__)
@@ -38,6 +38,10 @@ CACHE_ENV_VAR = "QUANVAUDIO_CACHE_DIR"
 DEFAULT_DEPTHS = (1, 4, 10, 15, 20, 25, 30, 50)
 DEFAULT_RATIOS = (0.65, 0.15, 0.20)
 BASELINE_MODEL = "cnn_base"
+# Part of every feature cache key. Bump it whenever a cached gram or
+# feature map can change value, so entries written by older code miss.
+# 2: quanvolution through the folded per-channel observable.
+FEATURE_VERSION = 2
 
 
 class ManifestError(ValueError):
@@ -273,7 +277,17 @@ class FeatureCache:
 
     @staticmethod
     def key(stage: str, payload: dict) -> str:
-        blob = json.dumps({"stage": stage, **payload}, sort_keys=True)
+        blob = json.dumps(
+            {
+                "stage": stage,
+                "version": FEATURE_VERSION,
+                "front_end": {
+                    "n_fft": N_FFT, "hop": HOP, "n_mels": N_MELS, "encoding": ENCODING,
+                },
+                **payload,
+            },
+            sort_keys=True,
+        )
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def get_or_compute(self, key: str, compute) -> np.ndarray:
@@ -382,7 +396,11 @@ ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "ac
 class SweepResult:
     out_dir: Path
     accuracy_rows: list[list] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    # (cell, exception type name, message), one per failed train or eval cell
+    failures: list[tuple[str, str, str]] = field(default_factory=list)
+
+    def record_failure(self, cell: str, exc: Exception) -> None:
+        self.failures.append((cell, type(exc).__name__, str(exc)))
 
 
 def corruption_cells(cfg: ExperimentConfig) -> list[tuple[CorruptionKind, int]]:
@@ -433,12 +451,20 @@ def run_experiment(
     }
     for model_id, circ in circuits.items():
         (out_dir / f"circuit_{model_id}.json").write_text(circ.to_json())
+        (out_dir / f"circuit_{model_id}.terms.json").write_text(
+            json.dumps(filter_terms(circ), indent=1)
+        )
 
     for seed_idx in range(cfg.n_seeds):
         train_rows, val_rows, test_rows = split(
             manifest, cfg.split_ratios, derive_seed(cfg.master_seed, f"{seed_idx}/split")
         )
-        trainval_paths = {r.path for r in train_rows + val_rows}
+        leaked = {r.path for r in test_rows} & {r.path for r in train_rows + val_rows}
+        if leaked:
+            raise ValueError(
+                f"seed {seed_idx}: {len(leaked)} test files also in train/val, "
+                f"e.g. {sorted(leaked)[:3]}"
+            )
 
         all_rows = train_rows + val_rows + test_rows
         grams = {r.path: pipeline.clean_gram(r.path) for r in all_rows}
@@ -482,7 +508,7 @@ def run_experiment(
                         ),
                     )
                 except nnmod.TrainingDiverged as exc:
-                    result.failures.append(f"train/{seed_idx}/{inst.model_id}: {exc}")
+                    result.record_failure(f"train/{seed_idx}/{inst.model_id}", exc)
                     continue
                 _write_csv(
                     out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
@@ -513,7 +539,6 @@ def run_experiment(
                 try:
                     test_feats = []
                     for row in test_rows:
-                        assert row.path not in trainval_paths
                         spec = CorruptionSpec(
                             kind,
                             sev,
@@ -541,8 +566,8 @@ def run_experiment(
                         "cell failed: seed=%d model=%s kind=%s sev=%d",
                         seed_idx, inst.model_id, kind.value, sev,
                     )
-                    result.failures.append(
-                        f"eval/{seed_idx}/{inst.model_id}/{kind.value}/{sev}: {exc}"
+                    result.record_failure(
+                        f"eval/{seed_idx}/{inst.model_id}/{kind.value}/{sev}", exc
                     )
                     complete = False
                     continue
@@ -575,7 +600,7 @@ def run_experiment(
     if evaluate_corrupted:
         write_reports(out_dir, grids, [i.model_id for i in instances], cfg.n_seeds)
     if result.failures:
-        _write_csv(out_dir / "failures.csv", ["failure"], [[f] for f in result.failures])
+        _write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
     return result
 

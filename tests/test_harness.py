@@ -2,13 +2,17 @@
 the feature cache, config round-trips, and a miniature sweep."""
 
 import csv
+import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from quanvaudio import harness
+from quanvaudio import harness, nn
 from quanvaudio.corrupt import CorruptionKind
 from quanvaudio.harness import (
     DatasetManifest,
@@ -124,6 +128,36 @@ def test_cache_disabled_passthrough(monkeypatch):
     cache.get_or_compute("k", lambda: calls.append(1) or np.zeros(2))
     cache.get_or_compute("k", lambda: calls.append(1) or np.zeros(2))
     assert len(calls) == 2
+
+
+def test_cache_entry_of_older_feature_version_misses(tmp_path, toy_root, monkeypatch):
+    wav = str(next(toy_root.rglob("*.wav")))
+    monkeypatch.setattr(harness, "FEATURE_VERSION", harness.FEATURE_VERSION - 1)
+    FeaturePipeline(FeatureCache(tmp_path)).clean_gram(wav)
+    old_entries = set(tmp_path.iterdir())
+    assert len(old_entries) == 1
+    monkeypatch.undo()
+
+    pipeline = FeaturePipeline(FeatureCache(tmp_path))
+    calls = []
+    orig = pipeline._gram_of
+    monkeypatch.setattr(pipeline, "_gram_of", lambda w: calls.append(1) or orig(w))
+    gram = pipeline.clean_gram(wav)
+    assert len(calls) == 1  # the old entry is not served
+    new_entries = set(tmp_path.iterdir()) - old_entries
+    assert len(new_entries) == 1  # the recomputed gram is stored under the new key
+    pipeline.clean_gram(wav)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(harness.load_tensor(new_entries.pop()), gram)
+
+
+def test_cache_key_names_version_and_front_end(monkeypatch):
+    key = FeatureCache.key("quanv", {"gram": "g"})
+    for name, value in (("FEATURE_VERSION", 99), ("N_MELS", 64), ("HOP", 64),
+                        ("N_FFT", 1024), ("ENCODING", "other")):
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, name, value)
+            assert FeatureCache.key("quanv", {"gram": "g"}) != key, name
 
 
 def test_cache_hit_skips_quanvolution(tmp_path, toy_root):
@@ -275,6 +309,8 @@ def test_mini_sweep_artifacts(mini_result):
     out = result.out_dir
     assert (out / "config.yaml").exists()
     assert (out / "circuit_qnn_basic_d1.json").exists()
+    terms = json.loads((out / "circuit_qnn_basic_d1.terms.json").read_text())
+    assert [len(channel) for channel in terms["channels"]] == [1, 1, 1, 1]
     assert (out / "checkpoint_cnn_base_seed0.bin").exists()
     assert (out / "history_qnn_basic_d1_seed0.csv").exists()
     assert any((out / "confusion").glob("*_clean.csv"))
@@ -289,6 +325,80 @@ def test_rerun_reuses_checkpoints(mini_result, tmp_path):
     rerun = run_experiment(cfg, reuse_checkpoints=True, models_filter=["qnn_basic_d1"])
     assert not rerun.failures
     assert ckpt.read_bytes() == before
+
+
+def _tiny_config(toy_root, out, **overrides):
+    fields = dict(
+        data_root=str(toy_root),
+        output_dir=str(out),
+        models=("cnn_base",),
+        depths=(1,),
+        corruptions=("gaussian_noise",),
+        severities=(2,),
+        n_seeds=1,
+        lr=1e-3,
+        max_epochs=2,
+        patience=1,
+        batch_size=8,
+    )
+    return ExperimentConfig(**(fields | overrides))
+
+
+def test_train_test_leak_is_an_error(toy_root, tmp_path, monkeypatch):
+    def leaky_split(manifest, ratios, seed):
+        train, val, test = split(manifest, ratios, seed)
+        return train, val, test + train[:2]
+
+    monkeypatch.setattr(harness, "split", leaky_split)
+    with pytest.raises(ValueError, match="test files also in train/val"):
+        run_experiment(_tiny_config(toy_root, tmp_path))
+
+
+def test_leak_check_survives_optimized_python(toy_root, tmp_path):
+    script = f"""
+from quanvaudio import harness
+real_split = harness.split
+def leaky_split(manifest, ratios, seed):
+    train, val, test = real_split(manifest, ratios, seed)
+    return train, val, test + val[:1]
+harness.split = leaky_split
+cfg = harness.ExperimentConfig(data_root={str(toy_root)!r}, output_dir={str(tmp_path)!r},
+                               models=("cnn_base",), n_seeds=1)
+try:
+    harness.run_experiment(cfg)
+except ValueError as exc:
+    print("raised:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ,
+                          "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: seed 0: 1 test files also in train/val" in proc.stdout
+
+
+def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
+    real_train = nn.train
+
+    def diverge_quanv(model, train_x, *args):
+        if train_x.shape[1] == 4:  # quanvolution features have 4 channels
+            raise nn.TrainingDiverged("loss is nan")
+        return real_train(model, train_x, *args)
+
+    def no_audio(self, path, spec):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(harness.nnmod, "train", diverge_quanv)
+    monkeypatch.setattr(FeaturePipeline, "corrupted_gram", no_audio)
+    cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"))
+    result = run_experiment(cfg)
+    with open(result.out_dir / "failures.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["cell"], r["error"]) for r in rows] == [
+        ("eval/0/cnn_base/gaussian_noise/2", "FileNotFoundError"),
+        ("train/0/qnn_basic_d1", "TrainingDiverged"),
+    ]
+    assert rows[1]["message"] == "loss is nan"
+    assert result.failures[1] == ("train/0/qnn_basic_d1", "TrainingDiverged", "loss is nan")
 
 
 def test_models_filter_unknown(mini_result):

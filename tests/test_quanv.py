@@ -1,21 +1,37 @@
 """Quanvolution layer: encoding golden values, kron-product oracle,
-patch geometry, anchors, and locality/range/determinism properties."""
+patch geometry, anchors, locality/range/determinism properties, and the
+folded observable against the gate-by-gate statevector oracle."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanvaudio.qsim import CircuitSpec, Gate, GateKind, Template, build_beqc
+from quanvaudio import quanv
+from quanvaudio.qsim import (
+    CircuitSpec,
+    Gate,
+    GateKind,
+    Template,
+    build_beqc,
+    build_circuit,
+    expectation_z_batch,
+    run_circuit_batch,
+)
 from quanvaudio.quanv import (
     FeatureMap,
     PatchRangeError,
     encode_patch,
+    filter_terms,
+    observables,
     patch_iterate,
     quanv_forward,
 )
 
 IDENTITY_CIRCUIT = CircuitSpec(4, 1, (), Template.BEQC, 0)
+ORACLE_DEPTHS = (1, 4, 10, 50)
 
 
 def _kron_oracle(x):
@@ -167,3 +183,101 @@ def test_feature_map_round_trip(tmp_path):
 def test_feature_map_requires_3d():
     with pytest.raises(ValueError):
         FeatureMap(np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Folded observable vs the gate-by-gate statevector path
+
+
+def _patch_grid(gram: np.ndarray) -> np.ndarray:
+    """(rows, cols, 4): the zero-padded 2x2 patches, row-major inside each."""
+    h, w = gram.shape
+    padded = np.zeros((h + h % 2, w + w % 2))
+    padded[:h, :w] = gram
+    rows, cols = padded.shape[0] // 2, padded.shape[1] // 2
+    return padded.reshape(rows, 2, cols, 2).transpose(0, 2, 1, 3).reshape(rows, cols, 4)
+
+
+def _statevector_oracle(gram: np.ndarray, spec: CircuitSpec) -> np.ndarray:
+    """Complex product states, every gate simulated, then Pauli-Z: the
+    quanvolution computed without folding the circuit."""
+    x = _patch_grid(gram)
+    states = np.stack([_kron_oracle(patch) for patch in x.reshape(-1, 4)])
+    z = expectation_z_batch(run_circuit_batch(spec, states))
+    return z.reshape(x.shape).transpose(2, 0, 1)
+
+
+@given(
+    template=st.sampled_from(list(Template)),
+    depth=st.sampled_from(ORACLE_DEPTHS),
+    h=st.integers(1, 13),
+    w=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_folded_observable_matches_statevector_oracle(template, depth, h, w, seed):
+    rng = np.random.default_rng(seed)
+    gram = rng.uniform(0, 1, (h, w))
+    # exact 0/1 pixels are the encoding's fixed points (basis states)
+    gram[rng.random((h, w)) < 0.2] = 0.0
+    gram[rng.random((h, w)) < 0.2] = 1.0
+    spec = build_circuit(template, 4, depth, seed % 1000)
+    np.testing.assert_allclose(
+        quanv_forward(gram, spec).values, _statevector_oracle(gram, spec), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("template", list(Template))
+def test_observables_real_symmetric_traceless(template):
+    for depth in ORACLE_DEPTHS:
+        m = observables(build_circuit(template, 4, depth, 1234))
+        assert m.shape == (4, 16, 16) and m.dtype == np.float64
+        assert not m.flags.writeable
+        np.testing.assert_allclose(m, m.transpose(0, 2, 1), atol=1e-13)
+        np.testing.assert_allclose(np.trace(m, axis1=1, axis2=2), 0.0, atol=1e-12)
+
+
+def test_circuit_simulated_once_per_spec(monkeypatch):
+    calls = []
+
+    def counting(spec, states):
+        calls.append(states.shape[0])
+        return run_circuit_batch(spec, states)
+
+    monkeypatch.setattr(quanv, "run_circuit_batch", counting)
+    spec = build_circuit("SEQC", 4, 3, seed=987_654)  # not built by another test
+    gram = np.random.default_rng(10).uniform(0, 1, (40, 128))
+    for _ in range(3):
+        quanv_forward(gram, spec)
+    assert calls == [16]
+
+
+def _evaluate_terms(terms: dict, gram: np.ndarray) -> np.ndarray:
+    x = _patch_grid(gram)
+    basis = {"1": np.ones_like(x), "cos": np.cos(np.pi * x), "sin": np.sin(np.pi * x)}
+    out = np.zeros((len(terms["channels"]),) + x.shape[:2])
+    for q, channel in enumerate(terms["channels"]):
+        for term in channel:
+            factor = term["coef"]
+            for i, name in enumerate(term["factors"]):
+                factor = factor * basis[name][..., i]
+            out[q] += factor
+    return out
+
+
+@pytest.mark.parametrize("template", list(Template))
+def test_filter_terms_reproduce_quanv_forward(template):
+    gram = np.random.default_rng(11).uniform(0, 1, (9, 14))
+    gram[0, :4] = [0.0, 1.0, 0.0, 1.0]
+    for depth in ORACLE_DEPTHS:
+        spec = build_circuit(template, 4, depth, 1234)
+        terms = json.loads(json.dumps(filter_terms(spec)))
+        assert all(1 <= len(channel) <= 81 for channel in terms["channels"])
+        np.testing.assert_allclose(
+            _evaluate_terms(terms, gram), quanv_forward(gram, spec).values, rtol=0, atol=1e-12
+        )
+
+
+def test_beqc_depth_one_is_a_single_product_per_channel():
+    terms = filter_terms(build_beqc(4, 1, seed=1234))
+    assert [len(channel) for channel in terms["channels"]] == [1, 1, 1, 1]
