@@ -18,7 +18,7 @@ from . import harness
 from .audio import load_wav, log_mel, write_wav
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import build_circuit
-from .quanv import FeatureMap, quanv_forward
+from .quanv import quanv_forward
 
 
 def _iter_wavs(in_dir: Path, manifest: Path | None):

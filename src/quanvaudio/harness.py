@@ -208,6 +208,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model {m!r}")
         for c in self.corruptions:
             CorruptionKind(c)
+        self.train_config(0)  # the training hyperparameters must be valid
 
     def train_config(self, seed: int) -> nnmod.TrainConfig:
         return nnmod.TrainConfig(
@@ -376,6 +377,8 @@ def _front_features(
 
 
 def _fmt(x) -> str:
+    if x is None:  # a metric whose baseline denominator is zero
+        return "undefined"
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
@@ -442,7 +445,6 @@ def run_experiment(
             raise ValueError(f"no configured model matches {models_filter}")
     cells = corruption_cells(cfg) if evaluate_corrupted else []
     result = SweepResult(out_dir)
-    grids: dict[tuple[int, str], metricsmod.AccuracyGrid] = {}
 
     circuits = {
         inst.model_id: build_circuit(inst.template, 4, inst.depth, cfg.circuit_seed)
@@ -533,8 +535,6 @@ def run_experiment(
                 .counts.tolist(),
             )
 
-            acc_by_kind: dict[CorruptionKind, list[float]] = defaultdict(list)
-            complete = True
             for kind, sev in cells:
                 try:
                     test_feats = []
@@ -569,13 +569,11 @@ def run_experiment(
                     result.record_failure(
                         f"eval/{seed_idx}/{inst.model_id}/{kind.value}/{sev}", exc
                     )
-                    complete = False
                     continue
                 result.accuracy_rows.append(
                     [seed_idx, inst.model_id, inst.template, inst.depth,
                      kind.value, sev, acc]
                 )
-                acc_by_kind[kind].append(acc)
                 _write_csv(
                     out_dir / "confusion"
                     / f"{inst.model_id}_seed{seed_idx}_{kind.value}_s{sev}.csv",
@@ -584,21 +582,13 @@ def run_experiment(
                     .counts.tolist(),
                 )
 
-            if complete and all(
-                len(acc_by_kind.get(k, [])) == corruptmod.N_SEVERITIES
-                for k in CorruptionKind
-            ):
-                grids[(seed_idx, inst.model_id)] = metricsmod.AccuracyGrid(
-                    model_id=inst.model_id,
-                    clean_acc=clean_acc,
-                    acc={k: tuple(acc_by_kind[k]) for k in CorruptionKind},
-                    seed=seed_idx,
-                )
-
     result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
     _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
     if evaluate_corrupted:
-        write_reports(out_dir, grids, [i.model_id for i in instances], cfg.n_seeds)
+        write_reports(
+            out_dir, grids_from_rows(result.accuracy_rows),
+            [i.model_id for i in instances], cfg.n_seeds,
+        )
     if result.failures:
         _write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
@@ -611,9 +601,11 @@ def write_reports(
     model_ids: list[str],
     n_seeds: int,
 ) -> list[str]:
-    """Per-seed CE/RCE reports against the baseline plus a seed-aggregated
-    summary. Undefined cells are written out as 'undefined'."""
-    rows: list[list] = []
+    """Write the per-seed CE/RCE reports against the baseline and their
+    seed-aggregated summary, both computed by ``metrics``; ``_fmt`` renders
+    an undefined (None) cell. Returns one problem line per seed or
+    (seed, model) that got no report."""
+    reports: list[metricsmod.RobustnessReport] = []
     problems: list[str] = []
     for seed_idx in range(n_seeds):
         base = grids.get((seed_idx, BASELINE_MODEL))
@@ -625,50 +617,24 @@ def write_reports(
             if grid is None:
                 problems.append(f"seed {seed_idx}: {model_id} grid incomplete")
                 continue
-            for kind in CorruptionKind:
-                try:
-                    ce = metricsmod.corruption_error(grid, base, kind)
-                except metricsmod.UndefinedMetricError:
-                    ce = "undefined"
-                try:
-                    rce = metricsmod.relative_corruption_error(grid, base, kind)
-                except metricsmod.UndefinedMetricError:
-                    rce = "undefined"
-                rows.append([seed_idx, model_id, kind.value, ce, rce])
+            reports.append(metricsmod.robustness_report(grid, base))
     _write_csv(
         out_dir / "report_per_seed.csv",
         ["seed", "model", "kind", "CE", "RCE"],
-        rows,
+        [[r.seed, r.model_id, k.value, r.ce[k], r.rce[k]]
+         for r in reports for k in CorruptionKind],
     )
 
-    def _mean_std(values: list) -> tuple:
-        # any undefined per-seed cell poisons the aggregate for that metric
-        if not values or any(v == "undefined" for v in values):
-            return "undefined", "undefined"
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        return mean, std
-
+    summary_rows = [(k.value, f"ce/{k.value}", f"rce/{k.value}") for k in CorruptionKind]
+    summary_rows.append(("mCE/RmCE", "mce", "rmce"))
     agg_rows: list[list] = []
-    for model_id in sorted({r[1] for r in rows}):
-        model_rows = [r for r in rows if r[1] == model_id]
-        for kind in CorruptionKind:
-            kind_rows = [r for r in model_rows if r[2] == kind.value]
-            ce_mean, ce_std = _mean_std([r[3] for r in kind_rows])
-            rce_mean, rce_std = _mean_std([r[4] for r in kind_rows])
-            agg_rows.append([model_id, kind.value, ce_mean, ce_std, rce_mean, rce_std])
-        mces, rmces = [], []
-        for seed_idx in sorted({r[0] for r in model_rows}):
-            seed_rows = [r for r in model_rows if r[0] == seed_idx]
-            for values, out in (([r[3] for r in seed_rows], mces),
-                                ([r[4] for r in seed_rows], rmces)):
-                if any(v == "undefined" for v in values):
-                    out.append("undefined")
-                else:
-                    out.append(float(np.mean(values)))
-        mce_mean, mce_std = _mean_std(mces)
-        rmce_mean, rmce_std = _mean_std(rmces)
-        agg_rows.append([model_id, "mCE/RmCE", mce_mean, mce_std, rmce_mean, rmce_std])
+    for model_id in sorted({r.model_id for r in reports}):
+        agg = metricsmod.aggregate_seeds([r for r in reports if r.model_id == model_id])
+        for label, ce_key, rce_key in summary_rows:
+            row = [model_id, label]
+            for cell in (agg[ce_key], agg[rce_key]):
+                row += [None, None] if cell is None else [cell.mean, cell.std]
+            agg_rows.append(row)
     _write_csv(
         out_dir / "report.csv",
         ["model", "kind", "CE_mean", "CE_std", "RCE_mean", "RCE_std"],
@@ -679,36 +645,36 @@ def write_reports(
     return problems
 
 
-def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
-    """Rebuild per-seed accuracy grids from an accuracy.csv file."""
+def grids_from_rows(rows) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
+    """Per-(seed, model) accuracy grids from accuracy rows laid out as
+    ``ACCURACY_HEADER``. A (seed, model) that lacks its clean row or any
+    kind x severity cell gets no grid."""
     clean: dict[tuple[int, str], float] = {}
-    acc: dict[tuple[int, str], dict[CorruptionKind, dict[int, float]]] = defaultdict(
-        lambda: defaultdict(dict)
-    )
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (int(rec["seed"]), rec["model"])
-            if rec["kind"] == "clean":
-                clean[key] = float(rec["accuracy"])
-            else:
-                kind = CorruptionKind(rec["kind"])
-                acc[key][kind][int(rec["severity"])] = float(rec["accuracy"])
-    grids = {}
-    for key, per_kind in acc.items():
-        if key not in clean:
-            continue
-        if set(per_kind) != set(CorruptionKind):
-            continue
-        if any(sorted(row) != list(range(1, corruptmod.N_SEVERITIES + 1))
-               for row in per_kind.values()):
-            continue
-        grids[key] = metricsmod.AccuracyGrid(
+    acc: dict[tuple[int, str], dict[tuple[CorruptionKind, int], float]] = defaultdict(dict)
+    for seed, model, _template, _depth, kind, sev, value in rows:
+        if kind == "clean":
+            clean[(seed, model)] = value
+        else:
+            acc[(seed, model)][(CorruptionKind(kind), sev)] = value
+    severities = range(1, corruptmod.N_SEVERITIES + 1)
+    return {
+        key: metricsmod.AccuracyGrid(
             model_id=key[1],
             clean_acc=clean[key],
-            acc={
-                k: tuple(per_kind[k][s] for s in range(1, corruptmod.N_SEVERITIES + 1))
-                for k in CorruptionKind
-            },
+            acc={k: tuple(cells[(k, s)] for s in severities) for k in CorruptionKind},
             seed=key[0],
         )
-    return grids
+        for key, cells in acc.items()
+        if key in clean and all((k, s) in cells for k in CorruptionKind for s in severities)
+    }
+
+
+def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
+    """Rebuild per-seed accuracy grids from an accuracy.csv file."""
+    with open(path, newline="") as fh:
+        rows = [
+            [int(rec["seed"]), rec["model"], rec["template"], rec["depth"],
+             rec["kind"], int(rec["severity"]), float(rec["accuracy"])]
+            for rec in csv.DictReader(fh)
+        ]
+    return grids_from_rows(rows)

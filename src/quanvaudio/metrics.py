@@ -66,26 +66,43 @@ def relative_corruption_error(model: AccuracyGrid, base: AccuracyGrid,
     return num / den
 
 
-def mean_metric(per_kind: dict[CorruptionKind, float]) -> float:
+def mean_metric(per_kind: dict[CorruptionKind, float | None]) -> float | None:
+    """Mean over the corruption kinds; None if any kind is undefined."""
     if set(per_kind) != set(CorruptionKind):
         raise ValueError(f"need all {N_KINDS} corruption kinds, got {sorted(per_kind)}")
-    return float(np.mean([per_kind[k] for k in CorruptionKind]))
+    values = [per_kind[k] for k in CorruptionKind]
+    if any(v is None for v in values):
+        return None
+    return float(np.mean(values))
 
 
 @dataclass(frozen=True)
 class RobustnessReport:
+    """CE/RCE per kind and their means; None marks an undefined cell."""
+
     model_id: str
     baseline_id: str
     seed: int
-    ce: dict[CorruptionKind, float]
-    rce: dict[CorruptionKind, float]
-    mce: float
-    rmce: float
+    ce: dict[CorruptionKind, float | None]
+    rce: dict[CorruptionKind, float | None]
+    mce: float | None
+    rmce: float | None
+
+
+def _defined_or_none(metric, model: AccuracyGrid, base: AccuracyGrid,
+                     kind: CorruptionKind) -> float | None:
+    try:
+        return metric(model, base, kind)
+    except UndefinedMetricError:
+        return None
 
 
 def robustness_report(model: AccuracyGrid, base: AccuracyGrid) -> RobustnessReport:
-    ce = {k: corruption_error(model, base, k) for k in CorruptionKind}
-    rce = {k: relative_corruption_error(model, base, k) for k in CorruptionKind}
+    """Every metric of ``model`` against ``base``. A kind whose normalizing
+    denominator is zero gets None for that metric, and so does its mean."""
+    ce = {k: _defined_or_none(corruption_error, model, base, k) for k in CorruptionKind}
+    rce = {k: _defined_or_none(relative_corruption_error, model, base, k)
+           for k in CorruptionKind}
     return RobustnessReport(
         model_id=model.model_id,
         baseline_id=base.model_id,
@@ -133,22 +150,26 @@ class AggregatedCell:
     std: float
 
 
-def aggregate_seeds(reports: list[RobustnessReport]) -> dict[str, AggregatedCell]:
-    """Per-cell mean and sample (n-1) standard deviation across seeds.
+def aggregate_seeds(reports: list[RobustnessReport]) -> dict[str, AggregatedCell | None]:
+    """Per-cell mean and sample (n-1) standard deviation across seeds; the
+    std of a single seed is 0.0. A cell undefined in any seed is None.
 
     Keys are 'ce/<kind>', 'rce/<kind>', 'mce', 'rmce'.
     """
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to aggregate")
+    if not reports:
+        raise ValueError("need at least one report to aggregate")
     ids = {(r.model_id, r.baseline_id) for r in reports}
     if len(ids) != 1:
         raise ValueError(f"mismatched report structure: {sorted(ids)}")
 
     def cell(values):
+        if any(v is None for v in values):
+            return None
         arr = np.asarray(values, dtype=np.float64)
-        return AggregatedCell(float(arr.mean()), float(arr.std(ddof=1)))
+        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        return AggregatedCell(float(arr.mean()), std)
 
-    out: dict[str, AggregatedCell] = {}
+    out: dict[str, AggregatedCell | None] = {}
     for kind in CorruptionKind:
         out[f"ce/{kind.value}"] = cell([r.ce[kind] for r in reports])
         out[f"rce/{kind.value}"] = cell([r.rce[kind] for r in reports])

@@ -28,7 +28,6 @@ class TrainConfig:
     max_epochs: int = 10000
     patience: int = 30
     seed: int = 0
-    decoupled_decay: bool = False
 
     def __post_init__(self):
         if min(self.lr, self.weight_decay, self.batch_size, self.max_epochs) <= 0:
@@ -310,8 +309,8 @@ def loss_and_grads(model: Network, x: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Adam with bias correction; weight decay is coupled L2 by default
-    (added to the gradient), optionally decoupled."""
+    """Adam with bias correction; weight decay is coupled L2 (added to the
+    gradient before the moment updates)."""
 
     def __init__(self, cfg: TrainConfig, beta1=0.9, beta2=0.999, eps=1e-8):
         self.cfg = cfg
@@ -326,19 +325,14 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, w in params.items():
-            g = grads[name]
-            if not cfg.decoupled_decay:
-                g = g + cfg.weight_decay * w
+            g = grads[name] + cfg.weight_decay * w
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g**2
-            update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if cfg.decoupled_decay:
-                update = update + cfg.lr * cfg.weight_decay * w
-            w -= update
+            w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 @dataclass

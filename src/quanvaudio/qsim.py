@@ -3,7 +3,9 @@
 Qubit ordering is little-endian: qubit 0 is the least significant bit of
 the amplitude index. All amplitudes are complex128; circuits are value
 objects and every operation is a pure function, so concurrent evaluation
-needs no locking.
+needs no locking. ``run_circuit_batch`` pushes a batch of states through a
+circuit; ``quanv`` calls it once per circuit, on the basis states, to fold
+the circuit into its observables.
 
 Three circuit builders are provided:
 
@@ -18,7 +20,7 @@ Three circuit builders are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -38,7 +40,6 @@ class GateKind(str, Enum):
     RX = "RX"
     RY = "RY"
     RZ = "RZ"
-    H = "H"
     CNOT = "CNOT"
 
 
@@ -121,30 +122,6 @@ class CircuitSpec:
         )
 
 
-@dataclass(frozen=True)
-class StateVec:
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        n = amps.shape[0]
-        if n == 0 or n & (n - 1):
-            raise CircuitError(f"amplitude count {n} is not a power of two")
-        if abs(np.sum(np.abs(amps) ** 2) - 1.0) > 1e-12:
-            raise CircuitError("state is not normalized")
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.amplitudes.shape[0]).bit_length() - 1
-
-    @staticmethod
-    def zero(n_qubits: int) -> "StateVec":
-        amps = np.zeros(2**n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVec(amps)
-
-
 def _rotation_matrix(kind: GateKind, theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     if kind == GateKind.RX:
@@ -157,9 +134,6 @@ def _rotation_matrix(kind: GateKind, theta: float) -> np.ndarray:
             dtype=np.complex128,
         )
     raise CircuitError(f"not a rotation: {kind}")
-
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
 def _apply_single(psi: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
@@ -182,29 +156,7 @@ def _apply_cnot(psi: np.ndarray, control: int, target: int) -> np.ndarray:
 def _apply_gate_array(psi: np.ndarray, gate: Gate) -> np.ndarray:
     if gate.kind == GateKind.CNOT:
         return _apply_cnot(psi, *gate.wires)
-    if gate.kind == GateKind.H:
-        return _apply_single(psi, _H_MATRIX, gate.wires[0])
     return _apply_single(psi, _rotation_matrix(gate.kind, gate.angle), gate.wires[0])
-
-
-def apply_gate(state: StateVec, gate: Gate) -> StateVec:
-    n = state.n_qubits
-    if any(w >= n for w in gate.wires):
-        raise CircuitError(f"gate wires {gate.wires} out of range for n={n}")
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = _apply_gate_array(psi, gate)
-    return StateVec(psi.reshape(-1))
-
-
-def run_circuit(spec: CircuitSpec, state: StateVec) -> StateVec:
-    if spec.n_qubits != state.n_qubits:
-        raise CircuitError(
-            f"circuit has {spec.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    psi = state.amplitudes.reshape((2,) * spec.n_qubits)
-    for gate in spec.gates:
-        psi = _apply_gate_array(psi, gate)
-    return StateVec(psi.reshape(-1))
 
 
 def run_circuit_batch(spec: CircuitSpec, states: np.ndarray) -> np.ndarray:
@@ -218,11 +170,6 @@ def run_circuit_batch(spec: CircuitSpec, states: np.ndarray) -> np.ndarray:
     for gate in spec.gates:
         psi = _apply_gate_array(psi, gate)
     return psi.reshape(states.shape[0], -1)
-
-
-def expectation_z(state: StateVec) -> np.ndarray:
-    """Per-qubit Pauli-Z expectation values, analytic (no shot sampling)."""
-    return expectation_z_batch(state.amplitudes[None, :])[0]
 
 
 def expectation_z_batch(states: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qsim import CircuitSpec, StateVec, run_circuit_batch
+from .qsim import CircuitSpec, run_circuit_batch
 from .tensorio import load_tensor, save_tensor
 
 PATCH_QUBITS = 4
@@ -69,18 +69,6 @@ class FeatureMap:
         return FeatureMap(load_tensor(path, expect_layout="CHW"))
 
 
-def patch_iterate(height: int, width: int) -> list[tuple[int, int]]:
-    """Row-major top-left coordinates of the non-overlapping 2x2 blocks.
-
-    Odd trailing rows/columns are covered by a zero-padded edge patch.
-    """
-    if height < 1 or width < 1:
-        raise ValueError(f"need positive dims, got {height}x{width}")
-    rows = (height + 1) // 2
-    cols = (width + 1) // 2
-    return [(2 * r, 2 * c) for r in range(rows) for c in range(cols)]
-
-
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
     lo, hi = values.min(initial=0.0), values.max(initial=0.0)
     if lo < -CLAMP_EPS or hi > 1.0 + CLAMP_EPS:
@@ -101,14 +89,6 @@ def _encode(patches: np.ndarray) -> np.ndarray:
         ket = np.stack([c[:, q], s[:, q]], axis=1)
         states = (states[:, :, None] * ket[:, None, :]).reshape(patches.shape[0], -1)
     return states
-
-
-def encode_patch(patch) -> StateVec:
-    """Encode four values in [0,1] as qubit rotations Ry(pi*x_i)."""
-    x = np.asarray(patch, dtype=np.float64).reshape(-1)
-    if x.shape[0] != PATCH_QUBITS:
-        raise ValueError(f"expected 4 patch values, got {x.shape[0]}")
-    return StateVec(_encode(x[None, :])[0])
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,12 +1,14 @@
 """Command-line interface: every subcommand driven through main()."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quanvaudio.audio import LogMelGram
 from quanvaudio.cli import main
+from quanvaudio.corrupt import CorruptionKind
 from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig
 from quanvaudio.quanv import FeatureMap
 
@@ -70,9 +72,7 @@ def cli_config(toy_root, tmp_path_factory):
         output_dir=str(workdir / "results"),
         cache_dir=str(workdir / "cache"),
         models=("cnn_base", "qnn_basic"),
-        depths=(1,),
-        corruptions=("gaussian_noise",),
-        severities=(3,),
+        depths=(1,),  # every corruption kind and severity, so reports are complete
         n_seeds=1,
         lr=1e-3,
         max_epochs=3,
@@ -88,24 +88,27 @@ def test_train_then_evaluate(cli_config):
     cfg, path = cli_config
     assert main(["train", "--config", str(path)]) == 0
     out = cfg.output_dir
-    from pathlib import Path
-
     assert (Path(out) / "checkpoint_cnn_base_seed0.bin").exists()
     assert main(["evaluate", "--config", str(path)]) == 0
     with open(Path(out) / "accuracy.csv") as fh:
         rows = list(csv.DictReader(fh))
     kinds = {r["kind"] for r in rows}
-    assert kinds == {"clean", "gaussian_noise"}
+    assert kinds == {"clean"} | {k.value for k in CorruptionKind}
 
 
 def test_sweep_exit_code(cli_config):
-    _, path = cli_config
+    cfg, path = cli_config
     assert main(["sweep", "--config", str(path)]) == 0
+    # `report` rebuilds the sweep's reports from its accuracy.csv alone
+    out = Path(cfg.output_dir)
+    rebuilt = out.parent / "rebuilt"
+    assert main(["report", "--accuracy", str(out / "accuracy.csv"), "--out", str(rebuilt)]) == 0
+    for name in ("report.csv", "report_per_seed.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
+    assert not (out / "report_problems.csv").exists()
 
 
 def test_report_from_accuracy_csv(tmp_path):
-    from quanvaudio.corrupt import CorruptionKind
-
     acc_csv = tmp_path / "accuracy.csv"
     with open(acc_csv, "w", newline="") as fh:
         writer = csv.writer(fh)

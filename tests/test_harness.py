@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,9 @@ def test_config_validation():
         ExperimentConfig(data_root="/d", output_dir="/o", n_seeds=0)
     with pytest.raises(ValueError):
         ExperimentConfig(data_root="/d", output_dir="/o", corruptions=("blur",))
+    # rejected at construction, not after the first seed is featurized
+    with pytest.raises(ValueError, match="patience"):
+        ExperimentConfig(data_root="/d", output_dir="/o", max_epochs=1, patience=1)
 
 
 def test_model_instances_ids():
@@ -460,3 +464,79 @@ def test_grids_skip_incomplete(tmp_path):
     grids = grids_from_accuracy_csv(acc_csv)
     assert (0, "cnn_base") in grids
     assert (0, "qnn_basic_d1") not in grids
+
+
+# ---------------------------------------------------------------------------
+# Report characterization: the bytes of report_per_seed.csv, report.csv and
+# report_problems.csv for fixed accuracy tables, committed under
+# tests/data/reports/<fixture>/.
+
+REPORT_DATA = Path(__file__).parent / "data" / "reports"
+REPORT_MODELS = ("cnn_base", "qnn_basic_d1", "qnn_strongly_d4")
+REPORT_FILES = ("report_per_seed.csv", "report.csv", "report_problems.csv")
+REPORT_FIXTURES = {
+    "one_seed": 1,
+    "two_seeds": 2,
+    "undefined": 3,  # baseline perfect (CE undefined) and flat (RCE undefined)
+    "incomplete": 2,  # a model misses one cell in seed 0, a clean row in seed 1
+    "no_baseline": 2,  # the baseline misses one cell in seed 1
+}
+
+
+def _report_fixture_rows(name: str) -> list[list]:
+    """Accuracy rows, laid out as ACCURACY_HEADER, of one fixture."""
+    rng = np.random.default_rng(sorted(REPORT_FIXTURES).index(name))
+    rows = []
+    for seed in range(REPORT_FIXTURES[name]):
+        for model in REPORT_MODELS:
+            clean = float(np.round(0.8 + 0.2 * rng.random(), 6))
+            rows.append([seed, model, "-", 0, "clean", 0, clean])
+            for kind in CorruptionKind:
+                for sev in range(1, 7):
+                    drop = 0.04 * sev * (0.5 + rng.random())
+                    acc = float(np.round(min(1.0, max(0.0, clean - drop)), 6))
+                    if name == "undefined" and model == "cnn_base":
+                        if seed == 1 and kind == CorruptionKind.GAUSSIAN_NOISE:
+                            acc = 1.0
+                        if seed == 2 and kind == CorruptionKind.PITCH_SHIFT:
+                            acc = clean
+                    rows.append([seed, model, "-", 0, kind.value, sev, acc])
+    if name == "incomplete":
+        rows.remove(next(r for r in rows if r[:2] == [0, "qnn_basic_d1"] and r[5] == 6))
+        rows.remove(next(r for r in rows if r[:2] == [1, "qnn_strongly_d4"] and r[5] == 0))
+    if name == "no_baseline":
+        rows.remove(next(r for r in rows if r[:2] == [1, "cnn_base"] and r[5] == 3))
+    return rows
+
+
+def _write_accuracy_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(harness.ACCURACY_HEADER)
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_FIXTURES))
+def test_reports_match_characterized_bytes(tmp_path, name):
+    rows = _report_fixture_rows(name)
+    _write_accuracy_csv(tmp_path / "accuracy.csv", rows)
+    grids = grids_from_accuracy_csv(tmp_path / "accuracy.csv")
+    # the sweep builds its grids from the same rows before they hit the CSV
+    assert harness.grids_from_rows(rows) == grids
+    write_reports(tmp_path, grids, list(REPORT_MODELS), REPORT_FIXTURES[name])
+    for fname in REPORT_FILES:
+        expected = REPORT_DATA / name / fname
+        got = tmp_path / fname
+        assert got.exists() == expected.exists(), fname
+        if expected.exists():
+            assert got.read_bytes() == expected.read_bytes(), fname
+
+
+def test_undefined_fixture_covers_both_undefined_metrics():
+    text = (REPORT_DATA / "undefined" / "report_per_seed.csv").read_text().splitlines()
+    assert "1,cnn_base,gaussian_noise,undefined,1.0" in text
+    undefined = [line for line in text if "undefined" in line]
+    # CE for every model in seed 1, RCE for every model in seed 2
+    assert len(undefined) == 2 * len(REPORT_MODELS)
+    summary = (REPORT_DATA / "undefined" / "report.csv").read_text().splitlines()
+    assert "cnn_base,mCE/RmCE,undefined,undefined,undefined,undefined" in summary

@@ -103,6 +103,7 @@ def test_mean_metric():
     assert abs(mean_metric(vals) - 0.955) < 1e-12
     with pytest.raises(ValueError):
         mean_metric({KINDS[0]: 1.0})
+    assert mean_metric({k: None if k == KINDS[2] else 1.0 for k in KINDS}) is None
 
 
 def test_grid_validation():
@@ -156,11 +157,37 @@ def test_aggregate_permutation_invariant():
 
 
 def test_aggregate_validation():
+    single = aggregate_seeds([_report_with(1.1)])
+    assert single["mce"].mean == _report_with(1.1).mce
+    assert all(cell.std == 0.0 for cell in single.values())
     with pytest.raises(ValueError):
-        aggregate_seeds([_report_with(1.0)])
+        aggregate_seeds([])
     other = robustness_report(make_grid("other"), make_grid("b2"))
     with pytest.raises(ValueError):
         aggregate_seeds([_report_with(1.0), other])
+
+
+def test_undefined_kind_is_none_in_report_mean_and_aggregate():
+    # baseline perfect under one kind: CE undefined there, RCE still defined
+    rows = {k: (0.8, 0.7, 0.6, 0.5, 0.4, 0.3) for k in KINDS}
+    base = make_grid("b", clean=0.9, rows=rows | {KINDS[0]: (1.0,) * 6})
+    report = robustness_report(make_grid(), base)
+    assert report.ce[KINDS[0]] is None
+    assert all(report.ce[k] is not None for k in KINDS[1:])
+    assert report.mce is None
+    assert all(report.rce[k] is not None for k in KINDS) and report.rmce is not None
+    defined = robustness_report(make_grid(), make_grid("b", rows=rows))
+    agg = aggregate_seeds([defined, report])
+    assert agg[f"ce/{KINDS[0].value}"] is None and agg["mce"] is None
+    assert agg[f"ce/{KINDS[1].value}"] is not None and agg["rmce"] is not None
+
+
+def test_flat_baseline_leaves_rce_undefined_only():
+    rows = {k: (0.8, 0.7, 0.6, 0.5, 0.4, 0.3) for k in KINDS}
+    base = make_grid("b", clean=0.9, rows=rows | {KINDS[1]: (0.9,) * 6})
+    report = robustness_report(make_grid(), base)
+    assert report.rce[KINDS[1]] is None and report.rmce is None
+    assert report.mce is not None
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,6 @@ def test_adam_matches_scalar_reference():
     assert abs(params["w"][0] - w) < 1e-15
 
 
-def test_adam_decoupled_decay_skips_gradient_coupling():
-    cfg = TrainConfig(lr=1e-3, decoupled_decay=True)
-    opt = Adam(cfg)
-    params = {"w": np.array([2.0])}
-    opt.step(params, {"w": np.zeros(1)})
-    # no gradient: only the decoupled shrinkage applies
-    assert abs(params["w"][0] - (2.0 - cfg.lr * cfg.weight_decay * 2.0)) < 1e-15
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0)

@@ -1,5 +1,8 @@
 """Statevector simulator: golden single-gate values, a dense-matrix
-oracle for whole circuits, builder structure laws, and determinism."""
+oracle for whole circuits, builder structure laws, and determinism.
+
+Every check runs through ``run_circuit_batch``/``expectation_z_batch``,
+the path that folds each quanvolution filter."""
 
 import numpy as np
 import pytest
@@ -11,16 +14,12 @@ from quanvaudio.qsim import (
     CircuitSpec,
     Gate,
     GateKind,
-    StateVec,
     Template,
-    apply_gate,
     build_beqc,
     build_circuit,
     build_rqc,
     build_seqc,
-    expectation_z,
     expectation_z_batch,
-    run_circuit,
     run_circuit_batch,
 )
 from conftest import random_state
@@ -59,16 +58,28 @@ def _rotation(kind: GateKind, theta: float) -> np.ndarray:
 
 def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
     out = np.eye(2**spec.n_qubits, dtype=np.complex128)
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     for g in spec.gates:
         if g.kind == GateKind.CNOT:
             u = _cnot_unitary(*g.wires, spec.n_qubits)
-        elif g.kind == GateKind.H:
-            u = _single_unitary(h, g.wires[0], spec.n_qubits)
         else:
             u = _single_unitary(_rotation(g.kind, g.angle), g.wires[0], spec.n_qubits)
         out = u @ out
     return out
+
+
+def _zero(n: int) -> np.ndarray:
+    """|0...0> as a batch of one state."""
+    return np.eye(1, 2**n, dtype=np.complex128)
+
+
+def _basis(n: int, index: int) -> np.ndarray:
+    """Basis state ``index`` as a batch of one state."""
+    return np.eye(1, 2**n, index, dtype=np.complex128)
+
+
+def _run_gate(gate: Gate, states: np.ndarray) -> np.ndarray:
+    n = int(states.shape[1]).bit_length() - 1
+    return run_circuit_batch(CircuitSpec(n, 1, (gate,), Template.RQC, 0), states)
 
 
 # ---------------------------------------------------------------------------
@@ -76,35 +87,27 @@ def circuit_unitary(spec: CircuitSpec) -> np.ndarray:
 
 
 def test_ry_pi_flips_zero_to_one():
-    out = apply_gate(StateVec.zero(1), Gate(GateKind.RY, (0,), np.pi))
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-12)
+    out = _run_gate(Gate(GateKind.RY, (0,), np.pi), _zero(1))
+    np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_cnot_controlled_flip():
     # qubit 0 set, qubit 1 clear -> amplitude index 1; CNOT(0->1) flips
     # the target, giving index 3.
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[1] = 1.0
-    out = apply_gate(StateVec(amps), Gate(GateKind.CNOT, (0, 1)))
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-12)
+    out = _run_gate(Gate(GateKind.CNOT, (0, 1)), _basis(2, 1))
+    np.testing.assert_allclose(out, [[0, 0, 0, 1]], atol=1e-12)
 
 
 def test_cnot_control_clear_is_identity():
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[2] = 1.0  # target set, control clear
-    out = apply_gate(StateVec(amps), Gate(GateKind.CNOT, (0, 1)))
-    np.testing.assert_allclose(out.amplitudes, amps, atol=1e-12)
-
-
-def test_hadamard_on_zero():
-    out = apply_gate(StateVec.zero(1), Gate(GateKind.H, (0,)))
-    np.testing.assert_allclose(out.amplitudes, np.full(2, 1 / np.sqrt(2)), atol=1e-12)
+    states = _basis(2, 2)  # target set, control clear
+    out = _run_gate(Gate(GateKind.CNOT, (0, 1)), states)
+    np.testing.assert_allclose(out, states, atol=1e-12)
 
 
 def test_rz_is_diagonal_phase():
-    out = apply_gate(StateVec.zero(1), Gate(GateKind.RZ, (0,), np.pi / 3))
-    np.testing.assert_allclose(out.amplitudes[0], np.exp(-1j * np.pi / 6), atol=1e-12)
-    assert out.amplitudes[1] == 0
+    out = _run_gate(Gate(GateKind.RZ, (0,), np.pi / 3), _zero(1))[0]
+    np.testing.assert_allclose(out[0], np.exp(-1j * np.pi / 6), atol=1e-12)
+    assert out[1] == 0
 
 
 @pytest.mark.parametrize("template", list(Template))
@@ -114,16 +117,18 @@ def test_run_circuit_matches_dense_oracle(template, n):
     for depth in (1, 3):
         spec = build_circuit(template, n, depth, seed=depth * 17 + n)
         unitary = circuit_unitary(spec)
-        for _ in range(5):
-            state = random_state(rng, n)
-            got = run_circuit(spec, StateVec(state)).amplitudes
-            np.testing.assert_allclose(got, unitary @ state, atol=1e-12)
+        states = np.stack([random_state(rng, n) for _ in range(5)])
+        got = run_circuit_batch(spec, states)
+        np.testing.assert_allclose(got, states @ unitary.T, atol=1e-12)
+        # the basis states give the unitary itself, as quanv folds it
+        basis = run_circuit_batch(spec, np.eye(2**n, dtype=np.complex128))
+        np.testing.assert_allclose(basis.T, unitary, atol=1e-12)
 
 
 def test_empty_circuit_is_identity():
     spec = CircuitSpec(3, 1, (), Template.BEQC, 0)
-    state = StateVec(random_state(np.random.default_rng(0), 3))
-    np.testing.assert_array_equal(run_circuit(spec, state).amplitudes, state.amplitudes)
+    states = random_state(np.random.default_rng(0), 3)[None, :]
+    np.testing.assert_array_equal(run_circuit_batch(spec, states), states)
 
 
 def test_zero_angle_beqc_fixes_all_zero_state():
@@ -136,8 +141,8 @@ def test_zero_angle_beqc_fixes_all_zero_state():
         ),
         Template.BEQC, 0,
     )
-    out = run_circuit(zeroed, StateVec.zero(4))
-    np.testing.assert_allclose(out.amplitudes, StateVec.zero(4).amplitudes, atol=1e-12)
+    out = run_circuit_batch(zeroed, _zero(4))
+    np.testing.assert_allclose(out, _zero(4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +226,10 @@ def test_composition_matches_sequential_runs():
     a = build_beqc(3, 2, seed=0)
     b = build_seqc(3, 1, seed=1)
     combined = CircuitSpec(3, 3, a.gates + b.gates, Template.RQC, 0)
-    state = StateVec(random_state(np.random.default_rng(3), 3))
-    step = run_circuit(b, run_circuit(a, state))
-    joint = run_circuit(combined, state)
-    np.testing.assert_array_equal(joint.amplitudes, step.amplitudes)
+    states = random_state(np.random.default_rng(3), 3)[None, :]
+    step = run_circuit_batch(b, run_circuit_batch(a, states))
+    joint = run_circuit_batch(combined, states)
+    np.testing.assert_array_equal(joint, step)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +237,17 @@ def test_composition_matches_sequential_runs():
 
 
 def test_expectation_all_zero_state():
-    np.testing.assert_array_equal(expectation_z(StateVec.zero(4)), [1, 1, 1, 1])
+    np.testing.assert_array_equal(expectation_z_batch(_zero(4)), [[1, 1, 1, 1]])
 
 
 def test_expectation_qubit0_excited():
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[1] = 1.0
-    np.testing.assert_array_equal(expectation_z(StateVec(amps)), [-1, 1, 1, 1])
+    np.testing.assert_array_equal(expectation_z_batch(_basis(4, 1)), [[-1, 1, 1, 1]])
 
 
 def test_expectation_hadamard_zero():
-    state = apply_gate(StateVec.zero(1), Gate(GateKind.H, (0,)))
-    assert abs(expectation_z(state)[0]) < 1e-12
+    # the equal superposition H|0> = (|0> + |1>)/sqrt(2)
+    plus = np.full((1, 2), 1 / np.sqrt(2), dtype=np.complex128)
+    assert abs(expectation_z_batch(plus)[0, 0]) < 1e-12
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=5))
@@ -251,10 +255,8 @@ def test_expectation_hadamard_zero():
 def test_expectation_of_basis_state_matches_bits(bits):
     n = len(bits)
     idx = sum(bit << q for q, bit in enumerate(bits))
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[idx] = 1.0
     expected = [1.0 - 2.0 * bit for bit in bits]
-    np.testing.assert_array_equal(expectation_z(StateVec(amps)), expected)
+    np.testing.assert_array_equal(expectation_z_batch(_basis(n, idx))[0], expected)
 
 
 @given(st.sampled_from(list(Template)), st.integers(1, 6), st.integers(0, 10**6))
@@ -273,7 +275,7 @@ def test_batch_matches_single():
     states = np.stack([random_state(rng, 4) for _ in range(8)])
     batch = run_circuit_batch(spec, states)
     for i in range(8):
-        single = run_circuit(spec, StateVec(states[i])).amplitudes
+        single = run_circuit_batch(spec, states[i : i + 1])[0]
         np.testing.assert_array_equal(batch[i], single)
     z = expectation_z_batch(batch)
     assert z.shape == (8, 4)
@@ -294,16 +296,12 @@ def test_gate_validation_errors():
     with pytest.raises(ValueError):
         Gate(GateKind.RX, (0,), np.nan)
     with pytest.raises(ValueError):
-        Gate(GateKind.H, (0,), 1.0)
+        Gate(GateKind.CNOT, (0, 1), 1.0)
 
 
 def test_spec_and_state_validation():
     with pytest.raises(CircuitError):
         CircuitSpec(2, 1, (Gate(GateKind.RX, (2,), 0.1),), Template.BEQC, 0)
-    with pytest.raises(CircuitError):
-        StateVec(np.array([1.0, 1.0]))  # not normalized
-    with pytest.raises(CircuitError):
-        StateVec(np.array([1.0, 0.0, 0.0]))  # not a power of two
     with pytest.raises(ValueError):
         build_beqc(1, 1, 0)
     with pytest.raises(ValueError):
@@ -312,6 +310,6 @@ def test_spec_and_state_validation():
         build_rqc(9, 1, 0)
     spec = build_beqc(3, 1, 0)
     with pytest.raises(CircuitError):
-        run_circuit(spec, StateVec.zero(4))
+        run_circuit_batch(spec, _zero(4))
     with pytest.raises(CircuitError):
         run_circuit_batch(spec, np.ones((2, 4)) / 2.0)

@@ -23,10 +23,8 @@ from quanvaudio.qsim import (
 from quanvaudio.quanv import (
     FeatureMap,
     PatchRangeError,
-    encode_patch,
     filter_terms,
     observables,
-    patch_iterate,
     quanv_forward,
 )
 
@@ -44,52 +42,48 @@ def _kron_oracle(x):
     return state
 
 
+def _encode_one(x) -> np.ndarray:
+    """The encoder's product state of a single patch."""
+    return quanv._encode(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
 def test_encode_all_zeros():
-    np.testing.assert_allclose(
-        encode_patch([0, 0, 0, 0]).amplitudes, np.eye(16)[0], atol=1e-12
-    )
+    np.testing.assert_allclose(_encode_one([0, 0, 0, 0]), np.eye(16)[0], atol=1e-12)
 
 
 def test_encode_all_ones():
-    np.testing.assert_allclose(
-        encode_patch([1, 1, 1, 1]).amplitudes, np.eye(16)[15], atol=1e-12
-    )
+    np.testing.assert_allclose(_encode_one([1, 1, 1, 1]), np.eye(16)[15], atol=1e-12)
 
 
 def test_encode_half_has_zero_expectation():
-    from quanvaudio.qsim import expectation_z
-
-    z = expectation_z(encode_patch([0.5] * 4))
+    z = expectation_z_batch(quanv._encode(np.full((1, 4), 0.5)))
     np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
 
 def test_encode_matches_kron_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.uniform(0, 1, 4)
-        np.testing.assert_allclose(
-            encode_patch(x).amplitudes, _kron_oracle(x), atol=1e-12
-        )
+    x = np.random.default_rng(0).uniform(0, 1, (20, 4))
+    oracle = np.stack([_kron_oracle(patch) for patch in x])
+    np.testing.assert_allclose(quanv._encode(x), oracle, atol=1e-12)
 
 
 def test_encode_validation():
-    with pytest.raises(ValueError):
-        encode_patch([0.1, 0.2, 0.3])
     with pytest.raises(PatchRangeError):
-        encode_patch([0.1, 0.2, 0.3, 1.5])
+        _encode_one([0.1, 0.2, 0.3, 1.5])
     with pytest.raises(PatchRangeError):
-        encode_patch([-0.2, 0.2, 0.3, 0.5])
+        _encode_one([-0.2, 0.2, 0.3, 0.5])
     # tiny numerical overshoot is clamped, not rejected
-    encode_patch([0.0, 1.0 + 1e-12, 0.5, 0.5])
+    _encode_one([0.0, 1.0 + 1e-12, 0.5, 0.5])
 
 
-def test_patch_iterate_counts():
-    assert len(patch_iterate(40, 128)) == 20 * 64
-    assert patch_iterate(2, 2) == [(0, 0)]
-    assert patch_iterate(3, 3) == [(0, 0), (0, 2), (2, 0), (2, 2)]
-    assert patch_iterate(4, 6)[:3] == [(0, 0), (0, 2), (0, 4)]  # row-major
-    with pytest.raises(ValueError):
-        patch_iterate(0, 4)
+def test_extract_patches_counts():
+    patches, rows, cols = quanv._extract_patches(np.zeros((40, 128)))
+    assert patches.shape == (20 * 64, 4) and (rows, cols) == (20, 64)
+    assert quanv._extract_patches(np.zeros((3, 3)))[0].shape == (4, 4)
+    gram = np.arange(24.0).reshape(4, 6)
+    # row-major over patches, and row-major inside each 2x2 patch
+    np.testing.assert_array_equal(
+        quanv._extract_patches(gram)[0][:3], [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11]]
+    )
 
 
 def test_zero_gram_through_zero_angle_circuit_is_all_ones():
