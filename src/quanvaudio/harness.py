@@ -26,10 +26,10 @@ import yaml
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
 from . import nn as nnmod
-from .audio import HOP, N_FFT, N_MELS, Waveform, load_wav, log_mel, mel_bank
+from .audio import HOP, N_FFT, N_MELS, Waveform, load_wav, log_mel
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
-from .quanv import ENCODING, filter_terms, quanv_forward
+from .quanv import filter_terms, quanv_forward
 from .tensorio import load_tensor, save_tensor
 
 log = logging.getLogger(__name__)
@@ -282,9 +282,7 @@ class FeatureCache:
             {
                 "stage": stage,
                 "version": FEATURE_VERSION,
-                "front_end": {
-                    "n_fft": N_FFT, "hop": HOP, "n_mels": N_MELS, "encoding": ENCODING,
-                },
+                "front_end": {"n_fft": N_FFT, "hop": HOP, "n_mels": N_MELS},
                 **payload,
             },
             sort_keys=True,
@@ -316,12 +314,11 @@ def _file_sha256(path: str) -> str:
 
 
 class FeaturePipeline:
-    """Waveform -> log-Mel gram -> (optionally) quanvolutional features."""
+    """Waveform -> log-Mel gram, clean or corrupted, through the cache."""
 
     def __init__(self, cache: FeatureCache):
         self.cache = cache
         self._file_hashes: dict[str, str] = {}
-        self._banks: dict[int, object] = {}
 
     def file_hash(self, path: str) -> str:
         if path not in self._file_hashes:
@@ -329,8 +326,7 @@ class FeaturePipeline:
         return self._file_hashes[path]
 
     def _gram_of(self, w: Waveform) -> np.ndarray:
-        bank = self._banks.setdefault(w.sample_rate, mel_bank(w.sample_rate))
-        return log_mel(w, bank).values
+        return log_mel(w).values
 
     def clean_gram(self, path: str) -> np.ndarray:
         key = self.cache.key("featurize", {"file": self.file_hash(path), "front": "gram"})
@@ -351,29 +347,13 @@ class FeaturePipeline:
             key, lambda: self._gram_of(corruptmod.apply(spec, load_wav(path)))
         )
 
-    def quanv_features(self, gram: np.ndarray, gram_key: str, spec: CircuitSpec) -> np.ndarray:
-        key = self.cache.key("quanv", {"gram": gram_key, "circuit": spec.to_json()})
-        return self.cache.get_or_compute(
-            key, lambda: quanv_forward(gram, spec).values
-        )
 
-
-def _front_features(
-    pipeline: FeaturePipeline,
-    grams: dict[str, np.ndarray],
-    gram_keys: dict[str, str],
-    rows: list[ManifestRow],
-    instance: ModelInstance,
-    circuit: CircuitSpec | None,
-) -> np.ndarray:
-    if instance.kind == BASELINE_MODEL:
-        return np.stack([grams[r.path][None, :, :] for r in rows])
-    return np.stack(
-        [
-            pipeline.quanv_features(grams[r.path], gram_keys[r.path], circuit)
-            for r in rows
-        ]
-    )
+def _features(grams: list[np.ndarray], circuit: CircuitSpec | None) -> np.ndarray:
+    """Model inputs: the grams themselves for the baseline (``circuit`` is
+    None), else their quanvolution maps through ``circuit``."""
+    if circuit is None:
+        return np.stack([g[None, :, :] for g in grams])
+    return np.stack([quanv_forward(g, circuit).values for g in grams])
 
 
 def _fmt(x) -> str:
@@ -421,14 +401,17 @@ def run_experiment(
     reuse_checkpoints: bool = False,
     models_filter: list[str] | None = None,
 ) -> SweepResult:
-    """Full sweep over seeds x models x corruption cells.
+    """Full sweep over seeds x models x corruption cells, cell-major.
 
-    Per seed: split, featurize clean train/val, train every model, then
-    evaluate clean and all (kind, severity) cells on corrupted test
-    audio. Stage failures are recorded per cell and the run continues.
-    With ``reuse_checkpoints`` an existing checkpoint file is loaded
-    instead of retraining; ``models_filter`` restricts to the listed
-    model ids.
+    Per seed: split, build the clean grams, then train every model on its
+    clean train/val features (each model's features are dropped once it
+    is trained). Then, for each test cell -- the clean test set first,
+    then every (kind, severity) -- build the cell's test grams once and
+    evaluate every trained model on them, so each corrupted test file is
+    corrupted and log-Mel'd once per seed, whatever the number of models.
+    A failed training run or cell is recorded and the sweep goes on. With
+    ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
+    retraining; ``models_filter`` restricts to the listed model ids.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,7 +426,7 @@ def run_experiment(
         instances = [i for i in instances if i.model_id in models_filter]
         if not instances:
             raise ValueError(f"no configured model matches {models_filter}")
-    cells = corruption_cells(cfg) if evaluate_corrupted else []
+    cells = [(None, 0)] + (corruption_cells(cfg) if evaluate_corrupted else [])
     result = SweepResult(out_dir)
 
     circuits = {
@@ -457,6 +440,9 @@ def run_experiment(
             json.dumps(filter_terms(circ), indent=1)
         )
 
+    # Trained models are kept as params and scored by one network per kind,
+    # so the batch-sized layer caches of a forward pass exist once per kind.
+    nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
     for seed_idx in range(cfg.n_seeds):
         train_rows, val_rows, test_rows = split(
             manifest, cfg.split_ratios, derive_seed(cfg.master_seed, f"{seed_idx}/split")
@@ -468,42 +454,29 @@ def run_experiment(
                 f"e.g. {sorted(leaked)[:3]}"
             )
 
-        all_rows = train_rows + val_rows + test_rows
-        grams = {r.path: pipeline.clean_gram(r.path) for r in all_rows}
-        gram_keys = {
-            r.path: f"clean/{pipeline.file_hash(r.path)}" for r in all_rows
-        }
+        grams = {r.path: pipeline.clean_gram(r.path) for r in train_rows + val_rows + test_rows}
         labels = {
             name: np.array([manifest.label_index(r) for r in rows])
             for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
         }
 
+        trained: list[tuple[ModelInstance, dict[str, np.ndarray]]] = []
         for inst in instances:
-            circuit = circuits.get(inst.model_id)
-            feats = {
-                name: _front_features(pipeline, grams, gram_keys, rows, inst, circuit)
-                for name, rows in (
-                    ("train", train_rows),
-                    ("val", val_rows),
-                    ("test", test_rows),
-                )
-            }
-            model = nnmod.build_model(
-                inst.kind,
-                manifest.n_classes,
-                derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
-            )
             ckpt_path = out_dir / f"checkpoint_{inst.model_id}_seed{seed_idx}.bin"
             if reuse_checkpoints and ckpt_path.exists():
                 _, _, params = nnmod.load_checkpoint(ckpt_path)
-                model.set_params(params)
             else:
+                circuit = circuits.get(inst.model_id)
                 try:
                     train_result = nnmod.train(
-                        model,
-                        feats["train"],
+                        nnmod.build_model(
+                            inst.kind,
+                            manifest.n_classes,
+                            derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
+                        ),
+                        _features([grams[r.path] for r in train_rows], circuit),
                         labels["train"],
-                        feats["val"],
+                        _features([grams[r.path] for r in val_rows], circuit),
                         labels["val"],
                         cfg.train_config(
                             derive_seed(cfg.master_seed, f"{seed_idx}/train/{inst.model_id}")
@@ -520,63 +493,49 @@ def run_experiment(
                         for h in train_result.history
                     ],
                 )
-                nnmod.save_checkpoint(
-                    ckpt_path, inst.kind, manifest.n_classes, train_result.params
-                )
+                params = train_result.params
+                nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes, params)
+            trained.append((inst, params))
 
-            _, clean_acc, clean_preds = nnmod.evaluate(model, feats["test"], labels["test"])
-            result.accuracy_rows.append(
-                [seed_idx, inst.model_id, inst.template, inst.depth, "clean", 0, clean_acc]
-            )
-            _write_csv(
-                out_dir / "confusion" / f"{inst.model_id}_seed{seed_idx}_clean.csv",
-                [str(i) for i in range(manifest.n_classes)],
-                metricsmod.confusion(clean_preds, labels["test"], manifest.n_classes)
-                .counts.tolist(),
-            )
-
-            for kind, sev in cells:
+        for kind, sev in cells:
+            kind_name = "clean" if kind is None else kind.value
+            cell = f"{kind_name}/{sev}"
+            try:
+                test_grams = [
+                    grams[r.path] if kind is None else pipeline.corrupted_gram(
+                        r.path,
+                        CorruptionSpec(kind, sev, derive_seed(
+                            cfg.master_seed,
+                            f"{seed_idx}/corrupt/{cell}/{pipeline.file_hash(r.path)}",
+                        )),
+                    )
+                    for r in test_rows
+                ]
+            except Exception as exc:  # no test set for this cell; keep sweeping
+                log.exception("cell failed: seed=%d cell=%s", seed_idx, cell)
+                for inst, _ in trained:
+                    result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
+                continue
+            confusion_name = "clean" if kind is None else f"{kind_name}_s{sev}"
+            for inst, params in trained:
                 try:
-                    test_feats = []
-                    for row in test_rows:
-                        spec = CorruptionSpec(
-                            kind,
-                            sev,
-                            derive_seed(
-                                cfg.master_seed,
-                                f"{seed_idx}/corrupt/{kind.value}/{sev}/"
-                                f"{pipeline.file_hash(row.path)}",
-                            ),
-                        )
-                        gram = pipeline.corrupted_gram(row.path, spec)
-                        if inst.kind == BASELINE_MODEL:
-                            test_feats.append(gram[None, :, :])
-                        else:
-                            gkey = (
-                                f"{kind.value}/{sev}/{spec.seed}/"
-                                f"{pipeline.file_hash(row.path)}"
-                            )
-                            test_feats.append(
-                                pipeline.quanv_features(gram, gkey, circuit)
-                            )
-                    x = np.stack(test_feats)
-                    _, acc, preds = nnmod.evaluate(model, x, labels["test"])
+                    net = nets[inst.kind]
+                    net.set_params(params)
+                    _, acc, preds = nnmod.evaluate(
+                        net, _features(test_grams, circuits.get(inst.model_id)),
+                        labels["test"],
+                    )
                 except Exception as exc:  # cell failure; keep sweeping
-                    log.exception(
-                        "cell failed: seed=%d model=%s kind=%s sev=%d",
-                        seed_idx, inst.model_id, kind.value, sev,
-                    )
-                    result.record_failure(
-                        f"eval/{seed_idx}/{inst.model_id}/{kind.value}/{sev}", exc
-                    )
+                    log.exception("cell failed: seed=%d model=%s cell=%s",
+                                  seed_idx, inst.model_id, cell)
+                    result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
                     continue
                 result.accuracy_rows.append(
-                    [seed_idx, inst.model_id, inst.template, inst.depth,
-                     kind.value, sev, acc]
+                    [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
                 )
                 _write_csv(
                     out_dir / "confusion"
-                    / f"{inst.model_id}_seed{seed_idx}_{kind.value}_s{sev}.csv",
+                    / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
                     [str(i) for i in range(manifest.n_classes)],
                     metricsmod.confusion(preds, labels["test"], manifest.n_classes)
                     .counts.tolist(),
@@ -590,6 +549,7 @@ def run_experiment(
             [i.model_id for i in instances], cfg.n_seeds,
         )
     if result.failures:
+        result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
         _write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
     return result
@@ -603,8 +563,9 @@ def write_reports(
 ) -> list[str]:
     """Write the per-seed CE/RCE reports against the baseline and their
     seed-aggregated summary, both computed by ``metrics``; ``_fmt`` renders
-    an undefined (None) cell. Returns one problem line per seed or
-    (seed, model) that got no report."""
+    an undefined (None) cell. Rows follow sorted model ids, whatever order
+    ``model_ids`` has. Returns one problem line per seed or (seed, model)
+    that got no report."""
     reports: list[metricsmod.RobustnessReport] = []
     problems: list[str] = []
     for seed_idx in range(n_seeds):
@@ -612,7 +573,7 @@ def write_reports(
         if base is None:
             problems.append(f"seed {seed_idx}: baseline grid incomplete; no report")
             continue
-        for model_id in model_ids:
+        for model_id in sorted(model_ids):
             grid = grids.get((seed_idx, model_id))
             if grid is None:
                 problems.append(f"seed {seed_idx}: {model_id} grid incomplete")

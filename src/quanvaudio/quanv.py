@@ -26,8 +26,6 @@ from .tensorio import load_tensor, save_tensor
 
 PATCH_QUBITS = 4
 CLAMP_EPS = 1e-9
-# Identifies the patch geometry and angle encoding in feature cache keys.
-ENCODING = "2x2 stride-2 zero-padded patches, Ry(pi*x) product state"
 
 # Expansion of a channel over the per-pixel basis (1, cos pi*x_i, sin pi*x_i):
 # amplitude pairs of one qubit give c^2 = (1 + cos)/2, s^2 = (1 - cos)/2 and

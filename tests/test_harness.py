@@ -153,35 +153,12 @@ def test_cache_entry_of_older_feature_version_misses(tmp_path, toy_root, monkeyp
 
 
 def test_cache_key_names_version_and_front_end(monkeypatch):
-    key = FeatureCache.key("quanv", {"gram": "g"})
+    key = FeatureCache.key("featurize", {"file": "f"})
     for name, value in (("FEATURE_VERSION", 99), ("N_MELS", 64), ("HOP", 64),
-                        ("N_FFT", 1024), ("ENCODING", "other")):
+                        ("N_FFT", 1024)):
         with monkeypatch.context() as patched:
             patched.setattr(harness, name, value)
-            assert FeatureCache.key("quanv", {"gram": "g"}) != key, name
-
-
-def test_cache_hit_skips_quanvolution(tmp_path, toy_root):
-    from quanvaudio.qsim import build_beqc
-
-    pipeline = FeaturePipeline(FeatureCache(tmp_path))
-    wav = next(toy_root.rglob("*.wav"))
-    gram = pipeline.clean_gram(str(wav))
-    spec = build_beqc(4, 1, seed=0)
-    calls = []
-    orig = harness.quanv_forward
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    try:
-        harness.quanv_forward = counting
-        pipeline.quanv_features(gram, "gk", spec)
-        pipeline.quanv_features(gram, "gk", spec)
-    finally:
-        harness.quanv_forward = orig
-    assert len(calls) == 1
+            assert FeatureCache.key("featurize", {"file": "f"}) != key, name
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +382,39 @@ def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
     assert result.failures[1] == ("train/0/qnn_basic_d1", "TrainingDiverged", "loss is nan")
 
 
+def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
+    """Cell-major loop: each (seed, cell, test file) is corrupted and
+    log-Mel'd once and scored by every model; only grams are cached."""
+    counts = {"apply": 0, "quanv": 0}
+    real_apply, real_quanv = harness.corruptmod.apply, harness.quanv_forward
+
+    def counting_apply(*args):
+        counts["apply"] += 1
+        return real_apply(*args)
+
+    def counting_quanv(*args):
+        counts["quanv"] += 1
+        return real_quanv(*args)
+
+    monkeypatch.setattr(harness.corruptmod, "apply", counting_apply)
+    monkeypatch.setattr(harness, "quanv_forward", counting_quanv)
+    train, val, test = split(load_manifest(toy_root))
+    n_all, n_test = len(train) + len(val) + len(test), len(test)
+    two_cells = dict(models=("cnn_base", "qnn_basic"),
+                     corruptions=("gaussian_noise", "temporal_shift"))
+
+    result = run_experiment(_tiny_config(toy_root, tmp_path / "plain", **two_cells))
+    assert not result.failures and len(result.accuracy_rows) == 2 * (1 + 2)
+    assert counts == {"apply": 2 * n_test, "quanv": n_all + 2 * n_test}
+
+    cache_dir = tmp_path / "cache"
+    run_experiment(_tiny_config(toy_root, tmp_path / "cached", cache_dir=str(cache_dir),
+                                **two_cells))
+    entries = list(cache_dir.iterdir())
+    assert len(entries) == n_all + 2 * n_test
+    assert all(harness.load_tensor(e).shape == (40, 128) for e in entries)
+
+
 def test_models_filter_unknown(mini_result):
     cfg, _ = mini_result
     with pytest.raises(ValueError):
@@ -523,13 +533,17 @@ def test_reports_match_characterized_bytes(tmp_path, name):
     grids = grids_from_accuracy_csv(tmp_path / "accuracy.csv")
     # the sweep builds its grids from the same rows before they hit the CSV
     assert harness.grids_from_rows(rows) == grids
-    write_reports(tmp_path, grids, list(REPORT_MODELS), REPORT_FIXTURES[name])
-    for fname in REPORT_FILES:
-        expected = REPORT_DATA / name / fname
-        got = tmp_path / fname
-        assert got.exists() == expected.exists(), fname
-        if expected.exists():
-            assert got.read_bytes() == expected.read_bytes(), fname
+    # the sweep passes config order, `quanvaudio report` sorted order
+    for order in (list(REPORT_MODELS), list(reversed(REPORT_MODELS))):
+        out = tmp_path / "_".join(order)
+        out.mkdir()
+        write_reports(out, grids, order, REPORT_FIXTURES[name])
+        for fname in REPORT_FILES:
+            expected = REPORT_DATA / name / fname
+            got = out / fname
+            assert got.exists() == expected.exists(), (order, fname)
+            if expected.exists():
+                assert got.read_bytes() == expected.read_bytes(), (order, fname)
 
 
 def test_undefined_fixture_covers_both_undefined_metrics():

@@ -244,6 +244,18 @@ def test_circuit_simulated_once_per_spec(monkeypatch):
     for _ in range(3):
         quanv_forward(gram, spec)
     assert calls == [16]
+    # an equal spec from a second build is the same memo entry
+    again = build_circuit("SEQC", 4, 3, seed=987_654)
+    assert again is not spec and again == spec and hash(again) == hash(spec)
+    quanv_forward(gram, again)
+    assert calls == [16]
+    # the hash is computed once, at construction: looking a spec up hashes no gate
+    gate_hashes = []
+    gate_hash = Gate.__hash__
+    monkeypatch.setattr(Gate, "__hash__", lambda g: gate_hashes.append(1) or gate_hash(g))
+    hash(spec)
+    quanv_forward(gram, again)
+    assert gate_hashes == []
 
 
 def _evaluate_terms(terms: dict, gram: np.ndarray) -> np.ndarray:
