@@ -440,8 +440,7 @@ def run_experiment(
             json.dumps(filter_terms(circ), indent=1)
         )
 
-    # Trained models are kept as params and scored by one network per kind,
-    # so the batch-sized layer caches of a forward pass exist once per kind.
+    # Trained models are kept as params and scored by one network per kind.
     nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
     for seed_idx in range(cfg.n_seeds):
         train_rows, val_rows, test_rows = split(

@@ -37,7 +37,8 @@ class TrainConfig:
 
 
 class Layer:
-    """Base layer; stateful only through cached activations and params."""
+    """Base layer; stateful only through params, grads and ``cache``, which
+    holds what ``backward`` reads from the last forward pass."""
 
     params: dict[str, np.ndarray]
     grads: dict[str, np.ndarray]
@@ -45,6 +46,7 @@ class Layer:
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self.cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -70,33 +72,41 @@ class Conv2d(Layer):
 
     def forward(self, x):
         s, k = self.stride, self.kernel
-        self._x_shape = x.shape
         b = x.shape[0]
         win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         _, c, ho, wo = win.shape[:4]
-        self._out_hw = (ho, wo)
         # im2col: (B, ho*wo, C*k*k) contiguous so the products run as GEMMs
         col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
             b, ho * wo, c * k * k
         )
-        self._col = col
+        self.cache = (col, x.shape)
         f = self.params["W"].shape[0]
         out = col @ self.params["W"].reshape(f, -1).T  # (B, ho*wo, F)
-        out = out.transpose(0, 2, 1).reshape(b, f, ho, wo)
-        return out + self.params["b"][None, :, None, None]
+        out += self.params["b"]
+        # (B, F, ho, wo) view of the channel-last result: no transposed copy
+        return out.reshape(b, ho, wo, f).transpose(0, 3, 1, 2)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
+        """Fills ``grads``; returns dx, or None when ``need_dx`` is false."""
         s, k = self.stride, self.kernel
+        col, x_shape = self.cache
+        # the bias sum and the GEMMs below always read a C-ordered gradient
+        dout = np.ascontiguousarray(dout)
         b, f, ho, wo = dout.shape
-        c = self._x_shape[1]
+        c = x_shape[1]
         wmat = self.params["W"].reshape(f, -1)
         dout_mat = dout.reshape(b, f, ho * wo).transpose(0, 2, 1)  # (B, hw, F)
         self.grads["W"] = (
-            dout_mat.reshape(-1, f).T @ self._col.reshape(-1, c * k * k)
+            dout_mat.reshape(-1, f).T @ col.reshape(-1, c * k * k)
         ).reshape(self.params["W"].shape)
+        # backward consumes the cache: freeing the im2col buffer here lets
+        # dwin, of the same size, reuse its memory instead of fresh pages
+        self.cache = col = None
         self.grads["b"] = dout.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
         dwin = (dout_mat @ wmat).reshape(b, ho, wo, c, k, k)
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(x_shape)
         for i in range(k):
             for j in range(k):
                 dx[:, :, i : i + s * ho : s, j : j + s * wo : s] += dwin[
@@ -115,11 +125,11 @@ class Conv2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self.cache = x > 0
+        return np.where(self.cache, x, 0.0)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+        return np.where(self.cache, dout, 0.0)
 
     def out_shape(self, in_shape):
         return in_shape
@@ -127,11 +137,11 @@ class ReLU(Layer):
 
 class Tanh(Layer):
     def forward(self, x):
-        self._y = np.tanh(x)
-        return self._y
+        self.cache = np.tanh(x)
+        return self.cache
 
     def backward(self, dout):
-        return dout * (1.0 - self._y**2)
+        return dout * (1.0 - self.cache**2)
 
     def out_shape(self, in_shape):
         return in_shape
@@ -140,41 +150,41 @@ class Tanh(Layer):
 class MaxPool(Layer):
     """Non-overlapping pooling; trailing remainder rows/columns dropped.
 
-    Gradient is routed to the first argmax within each window.
+    Gradient is routed to the first maximum of each window in row-major
+    order, as ``np.argmax`` picks it; forward keeps only that position.
     """
 
     def __init__(self, k=3):
         super().__init__()
         self.k = k
 
+    def _windows(self, a, ho, wo):
+        """The k*k strided views of ``a``, one per window position, row-major."""
+        k = self.k
+        return [a[:, :, i : ho * k : k, j : wo * k : k] for i in range(k) for j in range(k)]
+
     def forward(self, x):
         k = self.k
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h < k or w < k:
             raise ValueError(f"spatial dims {h}x{w} smaller than pool {k}")
-        ho, wo = h // k, w // k
-        self._in_shape = x.shape
-        windows = (
-            x[:, :, : ho * k, : wo * k]
-            .reshape(b, c, ho, k, wo, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, ho, wo, k * k)
-        )
-        self._argmax = windows.argmax(axis=-1)
-        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
+        views = self._windows(x, h // k, w // k)
+        out = views[0].copy(order="K")
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        # the last write wins, so each cell ends with its first maximum
+        first = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        for p in range(k * k - 1, -1, -1):
+            np.copyto(first, p, where=views[p] == out)
+        self.cache = (first, x.shape)
+        return out
 
     def backward(self, dout):
+        first, in_shape = self.cache
         k = self.k
-        b, c, h, w = self._in_shape
-        ho, wo = h // k, w // k
-        dwin = np.zeros((b, c, ho, wo, k * k))
-        np.put_along_axis(dwin, self._argmax[..., None], dout[..., None], axis=-1)
-        dx = np.zeros(self._in_shape)
-        dx[:, :, : ho * k, : wo * k] = (
-            dwin.reshape(b, c, ho, wo, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, ho * k, wo * k)
-        )
+        dx = np.zeros(in_shape)
+        for p, view in enumerate(self._windows(dx, in_shape[2] // k, in_shape[3] // k)):
+            np.copyto(view, dout, where=first == p)
         return dx
 
     def out_shape(self, in_shape):
@@ -184,11 +194,11 @@ class MaxPool(Layer):
 
 class Flatten(Layer):
     def forward(self, x):
-        self._shape = x.shape
+        self.cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        return dout.reshape(self.cache)
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -202,13 +212,14 @@ class Linear(Layer):
         self.params["b"] = rng.uniform(-bound, bound, size=out_dim)
 
     def forward(self, x):
-        self._x = x
+        self.cache = x
         return x @ self.params["W"].T + self.params["b"]
 
-    def backward(self, dout):
-        self.grads["W"] = dout.T @ self._x
+    def backward(self, dout, need_dx=True):
+        """Fills ``grads``; returns dx, or None when ``need_dx`` is false."""
+        self.grads["W"] = dout.T @ self.cache
         self.grads["b"] = dout.sum(axis=0)
-        return dout @ self.params["W"]
+        return dout @ self.params["W"] if need_dx else None
 
     def out_shape(self, in_shape):
         return (self.params["W"].shape[0],)
@@ -225,17 +236,26 @@ class Network:
             shape = layer.out_shape(shape)
             self.shapes.append(shape)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
+        """Logits for a batch. With ``keep_cache=False`` (inference) each
+        layer drops its backward cache as soon as its output exists, so no
+        batch-sized array outlives the call."""
         for layer in self.layers:
             x = layer.forward(x)
+            if not keep_cache:
+                layer.cache = None
         if not np.all(np.isfinite(x)):
             raise TrainingDiverged("non-finite activations in forward pass")
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dout: np.ndarray) -> None:
+        """Fills every layer's ``grads``. The network input's gradient is
+        never read, so layer 0 builds no dx."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             dout = layer.backward(dout)
-        return dout
+        if first.params:
+            first.backward(dout, need_dx=False)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
@@ -279,7 +299,11 @@ def build_model(kind: str, n_classes: int, seed: int) -> Network:
         in_shape = GRAM_SHAPE
     else:
         in_shape = FEATURE_SHAPE
-    layers += [Conv2d(4, 32, kernel=3, stride=1, rng=rng), ReLU(), MaxPool(3), Flatten()]
+    # Pooling before the ReLU is exact for finite inputs: max(relu(x)) ==
+    # relu(max(x)); a window whose max is <= 0 gets a zero gradient either
+    # way, and one whose max is > 0 has the same first maximum either way.
+    # The ReLU then runs on the 9x smaller pooled map.
+    layers += [Conv2d(4, 32, kernel=3, stride=1, rng=rng), MaxPool(3), ReLU(), Flatten()]
     flat = int(np.prod(Network(layers, in_shape).shapes[-1]))
     layers += [Linear(flat, 64, rng), Tanh(), Linear(64, n_classes, rng)]
     return Network(layers, in_shape)
@@ -292,9 +316,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(f"labels must lie in [0, {k}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    loss = float(np.mean(np.log(total) - shifted[np.arange(n), labels]))
+    probs = exp / total[:, None]
     probs[np.arange(n), labels] -= 1.0
     return loss, probs / n
 
@@ -318,21 +343,39 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._scratch: tuple[np.ndarray, np.ndarray] = ()
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        if not self.m:  # the moments and two scratch buffers, allocated once
+            self.m = {name: np.zeros_like(w) for name, w in params.items()}
+            self.v = {name: np.zeros_like(w) for name, w in params.items()}
+            size = max(w.size for w in params.values())
+            self._scratch = (np.empty(size), np.empty(size))
         for name, w in params.items():
-            g = grads[name] + cfg.weight_decay * w
-            m = self.m.setdefault(name, np.zeros_like(w))
-            v = self.v.setdefault(name, np.zeros_like(w))
+            m, v = self.m[name], self.v[name]
+            g, tmp = (buf[: w.size].reshape(w.shape) for buf in self._scratch)
+            # Op for op:  g = grad + wd * w;  m = b1 m + (1 - b1) g;
+            # v = b2 v + (1 - b2) g**2;  w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(cfg.weight_decay, w, out=g)
+            np.add(grads[name], g, out=g)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=tmp)
+            m += tmp
             v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.square(g, out=tmp)
+            np.multiply(1.0 - self.beta2, tmp, out=tmp)
+            v += tmp
+            np.divide(m, bc1, out=g)
+            np.multiply(cfg.lr, g, out=g)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, self.eps, out=tmp)
+            np.divide(g, tmp, out=g)
+            w -= g
 
 
 @dataclass
@@ -347,7 +390,7 @@ def evaluate(model: Network, x: np.ndarray, labels: np.ndarray, batch_size=256):
     """Returns (mean loss, accuracy, predictions)."""
     losses, preds = [], []
     for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size])
+        logits = model.forward(x[start : start + batch_size], keep_cache=False)
         loss, _ = softmax_cross_entropy(logits, labels[start : start + batch_size])
         losses.append(loss * logits.shape[0])
         preds.append(logits.argmax(axis=1))

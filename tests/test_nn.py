@@ -1,14 +1,20 @@
 """Network and optimizer: finite-difference gradient oracles, layer
-golden values, Adam scalar reference, shape chain, and training loop."""
+golden values, exact oracles for the fast layer paths, Adam scalar
+reference, shape chain, and training loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quanvaudio import nn
 from quanvaudio.nn import (
     Adam,
     Conv2d,
     Flatten,
+    Layer,
     Linear,
     MaxPool,
     Network,
@@ -25,6 +31,111 @@ from quanvaudio.nn import (
 )
 
 RNG = np.random.default_rng
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations the fast paths must match bit for bit
+
+
+class WindowMaxPool(Layer):
+    """The window-tensor MaxPool: argmax over a transposed window copy,
+    gradient scattered with put_along_axis."""
+
+    def __init__(self, k=3):
+        super().__init__()
+        self.k = k
+
+    def forward(self, x):
+        k = self.k
+        b, c, h, w = x.shape
+        ho, wo = h // k, w // k
+        self._in_shape = x.shape
+        windows = (
+            x[:, :, : ho * k, : wo * k]
+            .reshape(b, c, ho, k, wo, k)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(b, c, ho, wo, k * k)
+        )
+        self._argmax = windows.argmax(axis=-1)
+        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
+
+    def backward(self, dout):
+        k = self.k
+        b, c, h, w = self._in_shape
+        ho, wo = h // k, w // k
+        dwin = np.zeros((b, c, ho, wo, k * k))
+        np.put_along_axis(dwin, self._argmax[..., None], dout[..., None], axis=-1)
+        dx = np.zeros(self._in_shape)
+        dx[:, :, : ho * k, : wo * k] = (
+            dwin.reshape(b, c, ho, wo, k, k)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(b, c, ho * k, wo * k)
+        )
+        return dx
+
+    def out_shape(self, in_shape):
+        c, h, w = in_shape
+        return (c, h // self.k, w // self.k)
+
+
+def _relu_then_pool(model):
+    """The same network with ReLU -> WindowMaxPool where ``build_model``
+    pools first, so both share every parameter array."""
+    layers = list(model.layers)
+    i = next(n for n, layer in enumerate(layers) if isinstance(layer, MaxPool))
+    assert isinstance(layers[i + 1], ReLU)
+    layers[i : i + 2] = [ReLU(), WindowMaxPool(layers[i].k)]
+    return Network(layers, model.in_shape)
+
+
+def _chain_backward(model, dout):
+    """Backpropagate through every layer, layer 0 included; returns dx."""
+    for layer in reversed(model.layers):
+        dout = layer.backward(dout)
+    return dout
+
+
+def _reference_adam_step(state, params, grads, cfg, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocating Adam update expression; ``state`` holds t, m and v."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, w in params.items():
+        g = grads[name] + cfg.weight_decay * w
+        m = state["m"].setdefault(name, np.zeros_like(w))
+        v = state["v"].setdefault(name, np.zeros_like(w))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        w -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def _reference_softmax_cross_entropy(logits, labels):
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs[np.arange(n), labels] -= 1.0
+    return loss, probs / n
+
+
+def _pool_input(rng, fill, shape, channel_last):
+    """Pool inputs rich in ties: coarse grid values, constant arrays, or
+    all-nonpositive ones; optionally a (B, C, H, W) view of channel-last
+    memory, the layout Conv2d returns."""
+    if fill == "grid":  # values in {-1, -0.5, 0, 0.5, 1}: ties and <=0 windows
+        x = rng.integers(-2, 3, shape) * 0.5
+    elif fill == "constant":
+        x = np.full(shape, rng.choice([-0.25, 0.0, 0.75]))
+    elif fill == "nonpositive":
+        x = -rng.integers(0, 3, shape) * rng.uniform(0.1, 1.0)
+    else:
+        x = rng.normal(size=shape)
+    if channel_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return x
 
 
 def _fd_param_grad(model, x, y, arr, idx, h=1e-5):
@@ -85,7 +196,7 @@ def test_input_gradient_matches_finite_differences():
     y = np.array([1, 0])
     logits = model.forward(x)
     _, dlogits = softmax_cross_entropy(logits, y)
-    dx = model.backward(dlogits)
+    dx = _chain_backward(model, dlogits)
     h = 1e-5
     for idx in [tuple(rng.integers(s) for s in x.shape) for _ in range(10)]:
         orig = x[idx]
@@ -152,6 +263,117 @@ def test_maxpool_gradient_routes_to_argmax():
     np.testing.assert_array_equal(dx, [[[[0, 0], [0, 1.0]]]])
 
 
+def test_maxpool_ties_route_to_first_maximum_row_major():
+    pool = MaxPool(3)
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 1, 0] = x[0, 0, 0, 2] = x[0, 0, 2, 1] = 5.0
+    x[0, 0, 3, :] = 9.0  # leftover row: never pooled, never gets a gradient
+    assert pool.forward(x)[0, 0, 0, 0] == 5.0
+    dx = pool.backward(np.full((1, 1, 1, 1), 2.0))
+    expected = np.zeros((1, 1, 4, 4))
+    expected[0, 0, 0, 2] = 2.0
+    np.testing.assert_array_equal(dx, expected)
+
+
+@given(
+    st.sampled_from([1, 256]),
+    st.integers(1, 3),
+    st.sampled_from([2, 3]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(["grid", "constant", "nonpositive", "normal"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_maxpool_matches_window_oracle(batch, channels, k, extra_h, extra_w, fill,
+                                       channel_last, seed):
+    rng = RNG(seed)
+    shape = (batch, channels, 2 * k + extra_h, 3 * k + extra_w)
+    x = _pool_input(rng, fill, shape, channel_last)
+    fast, oracle = MaxPool(k), WindowMaxPool(k)
+    np.testing.assert_array_equal(fast.forward(x), oracle.forward(x))
+    dout = rng.normal(size=(batch,) + fast.out_shape(shape[1:]))
+    np.testing.assert_array_equal(fast.backward(dout), oracle.backward(dout))
+
+
+@given(
+    st.sampled_from(["cnn_base", "qnn_basic"]),
+    st.sampled_from([1, 3, 256]),
+    st.sampled_from(["random", "constant", "negative_bias"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_pool_before_relu_matches_relu_before_pool(kind, batch, inputs, seed):
+    """build_model's Conv2d -> MaxPool -> ReLU gives the logits and every
+    gradient of Conv2d -> ReLU -> MaxPool, bit for bit."""
+    rng = RNG(seed)
+    model = build_model(kind, 3, seed=seed % 1000)
+    shape = (batch,) + model.in_shape
+    x = rng.uniform(0, 1, shape)
+    if inputs == "constant":  # flat regions: tied pooling windows
+        x[:, :, : shape[2] // 2] = 0.5
+    elif inputs == "negative_bias":  # most windows <= 0 before the ReLU
+        conv = next(layer for layer in model.layers[::-1] if isinstance(layer, Conv2d))
+        conv.params["b"] -= 2.0
+    y = rng.integers(0, 3, batch)
+    oracle = _relu_then_pool(model)
+
+    logits = model.forward(x)
+    _, dlogits = softmax_cross_entropy(logits, y)
+    model.backward(dlogits)
+    grads = {name: g.copy() for name, g in model.gradients()}
+
+    np.testing.assert_array_equal(oracle.forward(x), logits)
+    _chain_backward(oracle, dlogits)
+    for name, g in oracle.gradients():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def test_network_backward_builds_no_input_gradient(monkeypatch):
+    """Network.backward fills the same parameter gradients as a full chain
+    but asks layer 0 for no dx."""
+    model = build_model("qnn_basic", 2, seed=3)
+    x = RNG(4).uniform(0, 1, (3,) + model.in_shape)
+    _, dlogits = softmax_cross_entropy(model.forward(x), np.array([0, 1, 1]))
+    conv, calls = model.layers[0], []
+    real_backward = conv.backward
+
+    def spy(dout, **kwargs):
+        calls.append(kwargs)
+        return real_backward(dout, **kwargs)
+
+    monkeypatch.setattr(conv, "backward", spy)
+    assert model.backward(dlogits) is None
+    assert calls == [{"need_dx": False}]
+    grads = {name: g.copy() for name, g in model.gradients()}
+    monkeypatch.undo()
+    model.forward(x)
+    _chain_backward(model, dlogits)
+    for name, g in model.gradients():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def test_evaluate_keeps_no_batch_sized_arrays():
+    model = build_model("cnn_base", 2, seed=5)
+    x = RNG(6).uniform(0, 1, (256,) + model.in_shape)
+    y = np.arange(256) % 2
+    model.forward(x[:8])  # a training-style forward leaves caches behind
+    assert any(layer.cache is not None for layer in model.layers)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, _, preds = evaluate(model, x, y)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (256,)
+    assert all(layer.cache is None for layer in model.layers)
+    # the predictions (2 KB) and small bookkeeping; a kept im2col buffer
+    # alone would be 82 MB
+    assert held < 100_000, held
+
+
 def test_forward_zero_weights_gives_zero_logits():
     model = _small_model(seed=6)
     model.set_params({name: np.zeros_like(arr) for name, arr in model.parameters()})
@@ -189,6 +411,17 @@ def test_loss_gradient_rows_sum_to_zero():
     logits = RNG(10).uniform(-2, 2, (4, 3))
     _, dlogits = softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
     np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-12)
+
+
+def test_softmax_cross_entropy_matches_reference_expression():
+    rng = RNG(11)
+    for n, k in ((1, 2), (20, 3), (256, 7)):
+        logits = rng.normal(scale=30.0, size=(n, k))
+        labels = rng.integers(0, k, n)
+        loss, dlogits = softmax_cross_entropy(logits, labels)
+        ref_loss, ref_dlogits = _reference_softmax_cross_entropy(logits, labels)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(dlogits, ref_dlogits)
 
 
 def test_label_validation_and_empty_batch():
@@ -239,6 +472,24 @@ def test_adam_matches_scalar_reference():
     for g in grad_seq:
         opt.step(params, {"w": g})
     assert abs(params["w"][0] - w) < 1e-15
+
+
+def test_adam_matches_allocating_expression_over_steps():
+    cfg = TrainConfig(lr=3e-3, weight_decay=1e-2)
+    rng = RNG(12)
+    shapes = {"0.W": (32, 4, 3, 3), "0.b": (32,), "4.W": (64, 96), "6.b": (2,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref_params = {name: w.copy() for name, w in params.items()}
+    opt, state = Adam(cfg), {"t": 0, "m": {}, "v": {}}
+    for _ in range(6):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=w.shape)
+                 for name, w in params.items()}
+        opt.step(params, grads)
+        _reference_adam_step(state, ref_params, grads, cfg)
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], ref_params[name], err_msg=name)
+            np.testing.assert_array_equal(opt.m[name], state["m"][name], err_msg=name)
+            np.testing.assert_array_equal(opt.v[name], state["v"][name], err_msg=name)
 
 
 def test_train_config_validation():
