@@ -440,7 +440,8 @@ def run_experiment(
             json.dumps(filter_terms(circ), indent=1)
         )
 
-    # Trained models are kept as params and scored by one network per kind.
+    # `reuse_checkpoints` yields params, not networks, and a scoring network
+    # holds no training gradients, so one network per kind scores them all.
     nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
     for seed_idx in range(cfg.n_seeds):
         train_rows, val_rows, test_rows = split(

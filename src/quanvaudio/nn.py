@@ -215,11 +215,10 @@ class Linear(Layer):
         self.cache = x
         return x @ self.params["W"].T + self.params["b"]
 
-    def backward(self, dout, need_dx=True):
-        """Fills ``grads``; returns dx, or None when ``need_dx`` is false."""
+    def backward(self, dout):
         self.grads["W"] = dout.T @ self.cache
         self.grads["b"] = dout.sum(axis=0)
-        return dout @ self.params["W"] if need_dx else None
+        return dout @ self.params["W"]
 
     def out_shape(self, in_shape):
         return (self.params["W"].shape[0],)
@@ -250,12 +249,11 @@ class Network:
 
     def backward(self, dout: np.ndarray) -> None:
         """Fills every layer's ``grads``. The network input's gradient is
-        never read, so layer 0 builds no dx."""
-        first, *rest = self.layers
-        for layer in reversed(rest):
+        never read, so layer 0 (a ``Conv2d`` in every ``build_model`` kind)
+        builds no dx."""
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        if first.params:
-            first.backward(dout, need_dx=False)
+        self.layers[0].backward(dout, need_dx=False)
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
