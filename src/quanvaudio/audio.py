@@ -8,13 +8,13 @@ and resized along time to a fixed 40x128, the model input shape.
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 from .tensorio import load_tensor, save_tensor
 
@@ -26,6 +26,17 @@ TARGET_FRAMES = 128
 LOG_EPS = 1e-10
 
 _INT16_SCALE = 32768.0
+
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# SubFormat GUIDs are {TTTTTTTT-0000-0010-8000-00AA00389B71}, T the format tag
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_DTYPES = {
+    (_WAVE_FORMAT_PCM, 16): "<i2",
+    (_WAVE_FORMAT_IEEE_FLOAT, 32): "<f4",
+    (_WAVE_FORMAT_IEEE_FLOAT, 64): "<f8",
+}
 
 
 class AudioFormatError(ValueError):
@@ -81,21 +92,55 @@ class MelBank:
     center_freqs: np.ndarray = field(default=None, repr=False)
 
 
+def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
+    """Parse a little-endian RIFF/WAVE file into (rate, samples).
+
+    samples has shape (frames,) for mono and (frames, channels) otherwise.
+    """
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        body = pos + 8
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise ValueError(f"fmt chunk of {size} bytes, expected at least 16")
+            tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", raw, body)
+            if tag == _WAVE_FORMAT_EXTENSIBLE:
+                if size < 40 or raw[body + 28 : body + 40] != _SUBFORMAT_GUID_TAIL:
+                    raise ValueError("WAVE_FORMAT_EXTENSIBLE without a known subformat")
+                (tag,) = struct.unpack_from("<I", raw, body + 24)
+            fmt = tag, channels, rate, block_align, bits
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            tag, channels, rate, block_align, bits = fmt
+            dtype = _SAMPLE_DTYPES.get((tag, bits))
+            if dtype is None or channels < 1 or block_align != channels * bits // 8:
+                raise ValueError(
+                    f"unsupported sample format (format tag {tag:#06x}, {bits}-bit, "
+                    f"{channels} channel(s)); expected 16-bit PCM or 32/64-bit float"
+                )
+            if body + size > len(raw):
+                raise ValueError(f"data chunk of {size} bytes truncated to {len(raw) - body}")
+            data = np.frombuffer(raw, dtype=dtype, count=size // (bits // 8), offset=body)
+            return rate, data if channels == 1 else data.reshape(-1, channels)
+        pos = body + size + (size & 1)  # chunks are padded to an even size
+    raise ValueError("no fmt chunk" if fmt is None else "no data chunk")
+
+
 def load_wav(path: str | Path) -> Waveform:
-    """Read a PCM WAV (int16 or float32), downmixing stereo by mean."""
+    """Read a WAV of 16-bit PCM or 32/64-bit float samples, downmixing channels by mean."""
     try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
+        rate, data = _parse_wav(Path(path).read_bytes())
+    except (ValueError, struct.error) as exc:
         raise AudioFormatError(f"{path}: {exc}") from exc
-    if data.dtype == np.int16:
+    if data.dtype.kind == "i":
         samples = data.astype(np.float64) / _INT16_SCALE
-    elif data.dtype in (np.float32, np.float64):
-        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
     else:
-        raise AudioFormatError(
-            f"{path}: unsupported sample format {data.dtype}; "
-            "expected 16-bit PCM or 32-bit float"
-        )
+        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     if samples.size == 0:
@@ -104,9 +149,18 @@ def load_wav(path: str | Path) -> Waveform:
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
-    """Write as 16-bit PCM."""
-    scaled = np.clip(np.round(w.samples * _INT16_SCALE), -32768, 32767)
-    wavfile.write(path, w.sample_rate, scaled.astype(np.int16))
+    """Write as mono 16-bit PCM with a 44-byte header."""
+    pcm = np.clip(np.round(w.samples * _INT16_SCALE), -32768, 32767).astype("<i2")
+    # fmt body: format tag, channels, rate, byte rate, block align, bits per sample
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + pcm.nbytes, b"WAVE",
+        b"fmt ", 16, _WAVE_FORMAT_PCM, 1, w.sample_rate, 2 * w.sample_rate, 2, 16,
+        b"data", pcm.nbytes,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm.tobytes())
 
 
 def hann_window(length: int) -> np.ndarray:

@@ -8,12 +8,13 @@ input untouched, so the clean severity level stays bit-exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import resample_poly
 
 _VOCODER_NFFT = 1024
+_KAISER_BETA = 5.0
 
 
 def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
@@ -76,13 +77,77 @@ def time_stretch(x: np.ndarray, rate: float, n_fft: int = _VOCODER_NFFT) -> np.n
 
 
 def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
-    """Windowed-sinc resampling; output length ~ len(x) * ratio."""
+    """Windowed-sinc resampling; output length ~ len(x) * ratio.
+
+    The ratio is first rounded to the nearest fraction up/down with
+    down <= 1000. For the pitch-shift draws, ratio 2**(-delta/12) with
+    |delta| <= 1.8 semitones (6 sigma_p at severity 6), this moves the
+    pitch by at most 12*log2(1999/1998) ~ 0.00866 semitones (0.87 cents).
+    Neighbouring fractions a/b < c/d with denominators <= 1000 are
+    1/(b*d) apart and b + d > 1000, so rounding changes the ratio by at
+    most a factor 1 + 1/(2*a*d). Within 0.9 < ratio < 1.11 the only
+    fraction with denominator 1 is 1/1; the pairs (999/1000, 1/1) and
+    (1/1, 1001/1000) give a*d = 999 and 1000, and every other pair has
+    b, d >= 2, so a*d >= 0.9*b*d >= 0.9*2*999.
+    """
     if ratio <= 0 or not np.isfinite(ratio):
         raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
     if ratio == 1.0:
         return x
     frac = Fraction(ratio).limit_denominator(1000)
-    return resample_poly(np.asarray(x, dtype=np.float64), frac.numerator, frac.denominator)
+    return _resample_poly(np.asarray(x, dtype=np.float64), frac.numerator, frac.denominator)
+
+
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """Kaiser(beta=5) windowed-sinc low-pass for resampling by up/down.
+
+    2*half+1 taps with half = 10*max(up, down), cutoff 1/max(up, down) of
+    Nyquist, normalised to unit DC gain and scaled by ``up``.
+    """
+    max_rate = max(up, down)
+    half = 10 * max_rate
+    f_c = 1.0 / max_rate
+    # the filter is symmetric: compute taps -half..0 and mirror them
+    m = np.arange(-half, 1, dtype=np.float64)
+    window = np.i0(_KAISER_BETA * np.sqrt(1.0 - (m / half) ** 2.0)) / np.i0(_KAISER_BETA)
+    left = f_c * np.sinc(f_c * m) * window
+    h = np.concatenate([left, left[-2::-1]])
+    h /= np.sum(h)
+    h *= up
+    return h
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Polyphase resampling of a 1-D signal by up/down with zero padding.
+
+    The conventional ``resample_poly`` algorithm (the tests hold it to the
+    reference implementation to 1e-12): filter the zero-stuffed input with
+    ``_lowpass(up, down)``, keep every down-th sample, ceil(len(x)*up/down)
+    outputs. Padding the filter with n_pre_pad = down - half % down zeros
+    and dropping the first n_pre_remove = (half + n_pre_pad) // down
+    outputs cancel, so output m is centred on filter tap half + m*down:
+    y[m] = sum_k h[half + m*down - k*up] * x[k].
+    """
+    g = gcd(up, down)
+    up, down = up // g, down // g
+    if up == down == 1:
+        return np.array(x, dtype=np.float64)
+    n_in = x.shape[0]
+    n_out = -(-n_in * up // down)
+    h = _lowpass(up, down)
+    half = (h.shape[0] - 1) // 2
+    taps = -(-h.shape[0] // up)
+    # phases[p, r] = h[p + r*up], reversed along r to meet the windows in time order
+    phases = np.pad(h, (0, taps * up - h.shape[0])).reshape(taps, up).T[:, ::-1]
+    # outputs s, s+up, s+2up, ... share phase (half + s*down) % up and step down inputs
+    n_rows = -(-n_out // up)
+    t = half + np.arange(up) * down
+    start = t // up + down * np.arange(n_rows)[:, None]  # (n_rows, up)
+    padded = np.zeros(taps - 1 + max(n_in, int(start[-1, -1]) + 1))
+    padded[taps - 1 : taps - 1 + n_in] = x
+    windows = sliding_window_view(padded, taps)  # windows[i] = x[i-taps+1 .. i]
+    y = np.einsum("qut,ut->qu", windows[start], phases[t % up])
+    return y.reshape(-1)[:n_out]
 
 
 def fix_length(x: np.ndarray, length: int) -> np.ndarray:

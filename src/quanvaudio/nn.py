@@ -273,9 +273,6 @@ class Network:
             for name in layer.params:
                 layer.params[name] = params[f"{i}.{name}"].copy()
 
-    def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
-
 
 MODEL_KINDS = ("cnn_base", "qnn_basic", "qnn_strongly", "qnn_random")
 

@@ -115,21 +115,6 @@ class CircuitSpec:
         }
         return json.dumps(doc)
 
-    @staticmethod
-    def from_json(text: str) -> "CircuitSpec":
-        doc = json.loads(text)
-        gates = tuple(
-            Gate(GateKind(g["kind"]), tuple(g["wires"]), g.get("angle"))
-            for g in doc["gates"]
-        )
-        return CircuitSpec(
-            n_qubits=doc["n_qubits"],
-            depth=doc["depth"],
-            gates=gates,
-            template=Template(doc["template"]),
-            seed=doc["seed"],
-        )
-
 
 def _rotation_matrix(kind: GateKind, theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)

@@ -1,6 +1,9 @@
 """Audio front-end: WAV ingestion golden values, STFT/Parseval oracle,
 an independently coded mel-bank reference, and log-Mel properties."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -75,6 +78,97 @@ def test_write_read_round_trip(tmp_path):
     write_wav(path, w)
     back = load_wav(path)
     np.testing.assert_allclose(back.samples, w.samples, atol=1.0 / 32768)
+
+
+def _reference_samples(path):
+    """The reference reader plus load_wav's scaling and downmix."""
+    _, data = wavfile.read(path)
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    else:
+        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) & 1)
+        for cid, payload in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag, channels, rate, bits):
+    align = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+@pytest.mark.parametrize("dtype", ["int16", "float32", "float64"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_load_wav_matches_reference_reader(tmp_path, dtype, channels):
+    rng = np.random.default_rng(channels)
+    shape = (1001,) if channels == 1 else (1001, channels)
+    if dtype == "int16":
+        data = rng.integers(-32768, 32768, shape).astype(np.int16)
+    else:
+        data = rng.uniform(-1.3, 1.3, shape).astype(dtype)  # some samples clip
+    path = tmp_path / f"{dtype}_{channels}.wav"
+    wavfile.write(path, 22050, data)
+    w = load_wav(path)
+    assert w.sample_rate == 22050
+    np.testing.assert_array_equal(w.samples, _reference_samples(path))
+
+
+def test_load_wav_extensible_int16(tmp_path):
+    pcm = np.array([[1000, -2000], [32767, -32768], [0, 5]], dtype="<i2")
+    guid = struct.pack("<I", 1) + bytes.fromhex("00001000800000aa00389b71")
+    ext = struct.pack("<HHI", 22, 16, 0x3) + guid  # cbSize, valid bits, channel mask
+    path = tmp_path / "ext.wav"
+    path.write_bytes(_riff((b"fmt ", _fmt(0xFFFE, 2, SR, 16) + ext), (b"data", pcm.tobytes())))
+    np.testing.assert_array_equal(load_wav(path).samples, _reference_samples(path))
+    np.testing.assert_array_equal(load_wav(path).samples, pcm.mean(axis=1) / 32768.0)
+
+
+def test_load_wav_skips_list_chunk_with_pad_byte(tmp_path):
+    pcm = np.array([7, -7, 300], dtype="<i2")
+    path = tmp_path / "list.wav"
+    path.write_bytes(_riff((b"fmt ", _fmt(1, 1, SR, 16)), (b"LIST", b"INFOx"), (b"data", pcm.tobytes())))
+    np.testing.assert_array_equal(load_wav(path).samples, _reference_samples(path))
+    np.testing.assert_array_equal(load_wav(path).samples, pcm / 32768.0)
+
+
+@pytest.mark.parametrize("n, rate", [(1, 8000), (2, 16000), (3, 22050), (1000, 44100), (16000, 16000)])
+def test_write_wav_bytes_match_reference_writer(tmp_path, n, rate):
+    w = Waveform(np.random.default_rng(n).uniform(-1.0, 1.0, n), rate)
+    write_wav(tmp_path / "ours.wav", w)
+    pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype(np.int16)
+    wavfile.write(tmp_path / "ref.wav", rate, pcm)
+    ours = (tmp_path / "ours.wav").read_bytes()
+    assert ours == (tmp_path / "ref.wav").read_bytes()
+    assert len(ours) == 44 + 2 * n
+
+
+def _malformed_files():
+    """name -> (file bytes, what the error must say)."""
+    pcm = np.arange(8, dtype="<i2").tobytes()
+    truncated = _riff((b"fmt ", _fmt(1, 1, SR, 16)), (b"data", pcm))[:-4]
+    return {
+        "not_riff": (b"not RIFF data at all", "not a RIFF/WAVE file"),
+        "no_fmt": (_riff((b"data", pcm)), "no fmt chunk"),
+        "truncated_data": (truncated, "truncated"),
+        "pcm8": (_riff((b"fmt ", _fmt(1, 1, SR, 8)), (b"data", b"\x80" * 8)), "8-bit"),
+        "pcm24": (_riff((b"fmt ", _fmt(1, 1, SR, 24)), (b"data", b"\0" * 9)), "24-bit"),
+        "pcm32": (_riff((b"fmt ", _fmt(1, 1, SR, 32)), (b"data", b"\0" * 8)), "32-bit"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_files()))
+def test_malformed_wav_raises_naming_the_path(tmp_path, name):
+    raw, reason = _malformed_files()[name]
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(raw)
+    with pytest.raises(AudioFormatError, match=re.escape(str(path)) + ".*" + re.escape(reason)):
+        load_wav(path)
 
 
 def test_waveform_validation():

@@ -2,11 +2,13 @@
 amplitude contracts, forced-parameter oracles, and sampler statistics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import resample_poly
 from scipy.stats import kstest
 
 from quanvaudio import corrupt, dsp
@@ -284,6 +286,51 @@ def test_resample_ratio():
     assert abs(dsp.resample_ratio(x, 2.0).shape[0] - 2000) <= 1
     with pytest.raises(ValueError):
         dsp.resample_ratio(x, -1.0)
+
+
+# pitch ratios 2**(delta/12) over the severity-6 draw range |delta| <= 6*sigma_p
+# = 1.8 semitones, plus fixed ratios that exercise up/down < 1, > 1 and large
+_MAX_DRAW_SEMITONES = 1.8
+_FIXED_RATIOS = (Fraction(1, 2), Fraction(2, 1), Fraction(3, 7), Fraction(1000, 999),
+                 Fraction(999, 1000))
+
+
+@given(
+    st.integers(1, 40_000),
+    st.one_of(
+        st.floats(-_MAX_DRAW_SEMITONES, _MAX_DRAW_SEMITONES).map(lambda d: 2.0 ** (d / 12.0)),
+        st.sampled_from([float(r) for r in _FIXED_RATIOS]),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_resample_ratio_matches_reference_resample_poly(n, ratio, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    got = dsp.resample_ratio(x, ratio)
+    if ratio == 1.0:
+        assert got is x
+        return
+    frac = Fraction(ratio).limit_denominator(1000)
+    want = resample_poly(x, frac.numerator, frac.denominator)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_resample_ratio_rounding_error_bound():
+    # the bound stated in resample_ratio's docstring, over a dense grid of
+    # the pitch-shift draw range, plus the draws closest to the worst case
+    bound = 12.0 * math.log2(1999 / 1998)
+    deltas = np.concatenate([
+        np.linspace(-_MAX_DRAW_SEMITONES, _MAX_DRAW_SEMITONES, 100_001),
+        -12.0 * np.log2(np.array([1999 / 2000, 2001 / 2000])),  # midpoints around 1/1
+    ])
+    worst = 0.0
+    for d in deltas:
+        ratio = 2.0 ** (-d / 12.0)
+        frac = Fraction(ratio).limit_denominator(1000)
+        worst = max(worst, abs(12.0 * math.log2(frac / ratio)))
+    assert worst <= bound * (1 + 1e-9)
+    assert worst > 0.999 * bound  # the bound is attained, not loose
 
 
 def test_time_stretch_preserves_tone_frequency():

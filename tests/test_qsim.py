@@ -216,12 +216,6 @@ def test_builder_determinism(template):
     assert a != c
 
 
-@pytest.mark.parametrize("template", list(Template))
-def test_json_round_trip(template):
-    spec = build_circuit(template, 4, 3, seed=123)
-    assert CircuitSpec.from_json(spec.to_json()) == spec
-
-
 def test_composition_matches_sequential_runs():
     a = build_beqc(3, 2, seed=0)
     b = build_seqc(3, 1, seed=1)
