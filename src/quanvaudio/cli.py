@@ -16,7 +16,7 @@ from pathlib import Path
 from . import corrupt as corruptmod
 from . import harness
 from .audio import load_wav, log_mel, write_wav
-from .corrupt import CorruptionKind, CorruptionSpec
+from .corrupt import CorruptionKind
 from .qsim import build_circuit
 from .quanv import quanv_forward
 
@@ -37,17 +37,19 @@ def cmd_featurize(args) -> int:
     circuit = None
     if args.template:
         circuit = build_circuit(args.template, 4, args.depth, args.circuit_seed)
+    suffix = ".gram" if circuit is None else ".fmap"
+    # A manifest path outside --in is named by its basename, so two of them
+    # can map to one output; refuse before writing anything.
+    sources: dict[Path, Path] = {}
     for wav_path in _iter_wavs(in_dir, args.manifest):
         rel = wav_path.relative_to(in_dir) if wav_path.is_relative_to(in_dir) else wav_path.name
+        target = (out_dir / rel).with_suffix(suffix)
+        if sources.setdefault(target, wav_path) != wav_path:
+            raise ValueError(f"{sources[target]} and {wav_path} would both write {target}")
+    for target, wav_path in sources.items():
         gram = log_mel(load_wav(wav_path))
-        if circuit is None:
-            target = (out_dir / rel).with_suffix(".gram")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            gram.save(target)
-        else:
-            target = (out_dir / rel).with_suffix(".fmap")
-            target.parent.mkdir(parents=True, exist_ok=True)
-            quanv_forward(gram.values, circuit).save(target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        (gram if circuit is None else quanv_forward(gram.values, circuit)).save(target)
     return 0
 
 
@@ -58,17 +60,15 @@ def cmd_corrupt(args) -> int:
     sidecar_rows = []
     for wav_path in sorted(in_dir.rglob("*.wav")):
         rel = wav_path.relative_to(in_dir)
-        seed = harness.derive_seed(
-            args.seed, f"corrupt/{kind.value}/{args.severity}/{rel}"
+        spec = harness.corruption_spec(
+            args.seed, 0, kind, args.severity, harness.file_sha256(wav_path)
         )
-        spec = CorruptionSpec(kind, args.severity, seed)
         w = load_wav(wav_path)
         out_path = out_dir / rel
         out_path.parent.mkdir(parents=True, exist_ok=True)
         write_wav(out_path, corruptmod.apply(spec, w))
         sidecar_rows.append(
-            [str(rel), kind.value, spec.severity_value,
-             corruptmod.drawn_parameter(spec, w)]
+            [str(rel), kind.value, spec.severity_value, corruptmod.draw(spec, w)]
         )
     with open(out_dir / "corruption_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -69,26 +69,43 @@ class CorruptionSpec:
         )
 
 
+def draw(spec: CorruptionSpec, w: Waveform) -> float:
+    """The parameter ``apply`` applies to ``w``: sigma for Gaussian noise
+    (whose per-sample noise ``gaussian_noise`` draws from ``spec.seed``),
+    semitones for pitch shift, the shift as a proportion of ``len(w)``,
+    or the speed rate. This is the only place that draws and clamps, so
+    the value logged is the value applied. The clean severity gives the
+    clean value, at which every corruption is the identity."""
+    if spec.severity_index == 0 or spec.kind == CorruptionKind.GAUSSIAN_NOISE:
+        return spec.severity_value
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == CorruptionKind.PITCH_SHIFT:
+        return float(rng.normal(0.0, spec.severity_value))
+    if spec.kind == CorruptionKind.TEMPORAL_SHIFT:
+        p = float(rng.normal(0.0, spec.severity_value))
+        length = len(w)
+        if abs(round(p * length)) >= length:
+            clamped = (length - 1) / length if p > 0 else -(length - 1) / length
+            log.warning("shift proportion %.4f clamped to %.4f; signal has only %d samples",
+                        p, clamped, length)
+            p = clamped
+        return p
+    rate = math.exp(rng.normal(0.0, math.log(spec.severity_value)))
+    if not 0.25 <= rate <= 4.0:
+        clamped = min(max(rate, 0.25), 4.0)
+        log.warning("speed ratio %.4f clamped to %.4f", rate, clamped)
+        rate = clamped
+    return rate
+
+
 def gaussian_noise(w: Waveform, sigma: float, seed: int) -> Waveform:
     """Add N(0, sigma) noise scaled by the signal's std, then clamp to [-1,1]."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return w
     rng = np.random.default_rng(seed)
     z = rng.normal(0.0, sigma, size=len(w))
     noisy = np.clip(w.samples + np.std(w.samples) * z, -1.0, 1.0)
     return Waveform(noisy, w.sample_rate, w.source_id)
-
-
-def sample_semitone(sigma_p: float, rng: np.random.Generator) -> float:
-    delta = rng.normal(0.0, sigma_p)
-    tries = 0
-    while not math.isfinite(delta):
-        tries += 1
-        log.warning("non-finite semitone draw, resampling (attempt %d)", tries)
-        delta = rng.normal(0.0, sigma_p)
-    return float(delta)
 
 
 def pitch_shift_by(w: Waveform, delta_semitones: float) -> Waveform:
@@ -104,25 +121,11 @@ def pitch_shift_by(w: Waveform, delta_semitones: float) -> Waveform:
     return Waveform(shifted, w.sample_rate, w.source_id)
 
 
-def pitch_shift(w: Waveform, sigma_p: float, seed: int) -> Waveform:
-    if sigma_p < 0:
-        raise ValueError(f"sigma_p must be >= 0, got {sigma_p}")
-    if sigma_p == 0:
-        return w
-    delta = sample_semitone(sigma_p, np.random.default_rng(seed))
-    return pitch_shift_by(w, delta)
-
-
-def sample_shift_proportion(sigma_t: float, rng: np.random.Generator) -> float:
-    return float(rng.normal(0.0, sigma_t))
-
-
 def shift_samples(w: Waveform, s: int) -> Waveform:
     """Shift by s samples: positive delays (leading zeros, tail dropped)."""
     length = len(w)
     if abs(s) >= length:
-        log.warning("shift %d clamped; signal has only %d samples", s, length)
-        s = (length - 1) if s > 0 else -(length - 1)
+        raise ValueError(f"shift {s} leaves nothing of a {length}-sample signal")
     if s == 0:
         return w
     if s > 0:
@@ -132,62 +135,21 @@ def shift_samples(w: Waveform, s: int) -> Waveform:
     return Waveform(shifted, w.sample_rate, w.source_id)
 
 
-def temporal_shift(w: Waveform, sigma_t: float, seed: int) -> Waveform:
-    if sigma_t < 0:
-        raise ValueError(f"sigma_t must be >= 0, got {sigma_t}")
-    if sigma_t == 0:
-        return w
-    p = sample_shift_proportion(sigma_t, np.random.default_rng(seed))
-    return shift_samples(w, int(round(p * len(w))))
-
-
-def sample_log_rate(sigma_s: float, rng: np.random.Generator) -> float:
-    return float(rng.normal(0.0, math.log(sigma_s)))
-
-
 def speed_by(w: Waveform, rate: float) -> Waveform:
     """Time-stretch by ``rate``; truncate or zero-pad back to length."""
     if rate == 1.0:
         return w
-    if not 0.25 <= rate <= 4.0:
-        clamped = min(max(rate, 0.25), 4.0)
-        log.warning("speed ratio %.4f clamped to %.4f", rate, clamped)
-        rate = clamped
     stretched = dsp.time_stretch(w.samples, rate)
     out = np.clip(dsp.fix_length(stretched, len(w)), -1.0, 1.0)
     return Waveform(out, w.sample_rate, w.source_id)
 
 
-def speed_variation(w: Waveform, sigma_s: float, seed: int) -> Waveform:
-    if sigma_s < 1:
-        raise ValueError(f"sigma_s must be >= 1, got {sigma_s}")
-    if sigma_s == 1:
-        return w
-    u = sample_log_rate(sigma_s, np.random.default_rng(seed))
-    return speed_by(w, math.exp(u))
-
-
-def drawn_parameter(spec: CorruptionSpec, w: Waveform) -> float:
-    """The random parameter the corruption would draw for this seed."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.severity_index == 0:
-        return CLEAN_VALUE[spec.kind]
-    if spec.kind == CorruptionKind.GAUSSIAN_NOISE:
-        return spec.severity_value  # sigma itself; the draw is per-sample
-    if spec.kind == CorruptionKind.PITCH_SHIFT:
-        return sample_semitone(spec.severity_value, rng)
-    if spec.kind == CorruptionKind.TEMPORAL_SHIFT:
-        return sample_shift_proportion(spec.severity_value, rng)
-    return math.exp(sample_log_rate(spec.severity_value, rng))
-
-
 def apply(spec: CorruptionSpec, w: Waveform) -> Waveform:
-    if spec.severity_index == 0:
-        return w
+    value = draw(spec, w)
     if spec.kind == CorruptionKind.GAUSSIAN_NOISE:
-        return gaussian_noise(w, spec.severity_value, spec.seed)
+        return gaussian_noise(w, value, spec.seed)
     if spec.kind == CorruptionKind.PITCH_SHIFT:
-        return pitch_shift(w, spec.severity_value, spec.seed)
+        return pitch_shift_by(w, value)
     if spec.kind == CorruptionKind.TEMPORAL_SHIFT:
-        return temporal_shift(w, spec.severity_value, spec.seed)
-    return speed_variation(w, spec.severity_value, spec.seed)
+        return shift_samples(w, int(round(value * len(w))))
+    return speed_by(w, value)

@@ -178,6 +178,16 @@ def derive_seed(master: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def corruption_spec(
+    master_seed: int, seed_idx: int, kind: CorruptionKind, severity: int, file_hash: str
+) -> CorruptionSpec:
+    """The corruption of the file with SHA-256 ``file_hash`` in cell
+    (``kind``, ``severity``) of sweep seed ``seed_idx``. The ``corrupt``
+    CLI uses seed index 0, so it writes the audio that seed 0 scores."""
+    tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{file_hash}"
+    return CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data_root: str
@@ -208,6 +218,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model {m!r}")
         for c in self.corruptions:
             CorruptionKind(c)
+        if not all(1 <= s <= corruptmod.N_SEVERITIES for s in self.severities):
+            raise ValueError(
+                f"severities must lie in 1..{corruptmod.N_SEVERITIES}, got {self.severities}"
+            )
         self.train_config(0)  # the training hyperparameters must be valid
 
     def train_config(self, seed: int) -> nnmod.TrainConfig:
@@ -305,7 +319,7 @@ class FeatureCache:
         return arr
 
 
-def _file_sha256(path: str) -> str:
+def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -322,7 +336,7 @@ class FeaturePipeline:
 
     def file_hash(self, path: str) -> str:
         if path not in self._file_hashes:
-            self._file_hashes[path] = _file_sha256(path)
+            self._file_hashes[path] = file_sha256(path)
         return self._file_hashes[path]
 
     def _gram_of(self, w: Waveform) -> np.ndarray:
@@ -464,7 +478,12 @@ def run_experiment(
         for inst in instances:
             ckpt_path = out_dir / f"checkpoint_{inst.model_id}_seed{seed_idx}.bin"
             if reuse_checkpoints and ckpt_path.exists():
-                _, _, params = nnmod.load_checkpoint(ckpt_path)
+                arch, n_classes, params = nnmod.load_checkpoint(ckpt_path)
+                if (arch, n_classes) != (inst.kind, manifest.n_classes):
+                    raise ValueError(
+                        f"{ckpt_path}: expected a {inst.kind} checkpoint for "
+                        f"{manifest.n_classes} classes, found {arch} for {n_classes}"
+                    )
             else:
                 circuit = circuits.get(inst.model_id)
                 try:
@@ -504,10 +523,8 @@ def run_experiment(
                 test_grams = [
                     grams[r.path] if kind is None else pipeline.corrupted_gram(
                         r.path,
-                        CorruptionSpec(kind, sev, derive_seed(
-                            cfg.master_seed,
-                            f"{seed_idx}/corrupt/{cell}/{pipeline.file_hash(r.path)}",
-                        )),
+                        corruption_spec(cfg.master_seed, seed_idx, kind, sev,
+                                        pipeline.file_hash(r.path)),
                     )
                     for r in test_rows
                 ]

@@ -7,12 +7,13 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from quanvaudio import corrupt, dsp, nn
+from quanvaudio import harness, nn
 from quanvaudio.audio import (
     LOG_EPS,
     Waveform,
@@ -20,8 +21,10 @@ from quanvaudio.audio import (
     log_mel,
     mel_bank,
     stft_power,
+    write_wav,
 )
-from quanvaudio.corrupt import CorruptionKind, CorruptionSpec, apply, pitch_shift_by
+from quanvaudio.cli import main as cli_main
+from quanvaudio.corrupt import CorruptionKind, CorruptionSpec, apply, draw, pitch_shift_by
 from quanvaudio.harness import ExperimentConfig, run_experiment
 from quanvaudio.metrics import (
     AccuracyGrid,
@@ -134,12 +137,16 @@ def test_corruption_suite():
                 if kind == CorruptionKind.GAUSSIAN_NOISE:
                     assert np.all(np.abs(out.samples) <= 1.0)
 
-        draws = np.random.default_rng(3)
-        deltas = [corrupt.sample_semitone(0.3, draws) for _ in range(10**4)]
+        # one spec per seed, as the sweep draws them; severity 6 throughout
+        def draws(kind, first_seed):
+            return [draw(CorruptionSpec(kind, 6, s), base)
+                    for s in range(first_seed, first_seed + 10**4)]
+
+        deltas = draws(CorruptionKind.PITCH_SHIFT, 0)
         assert kstest(deltas, "norm", args=(0, 0.3)).pvalue > 0.01
-        props = [corrupt.sample_shift_proportion(0.15, draws) for _ in range(10**4)]
+        props = draws(CorruptionKind.TEMPORAL_SHIFT, 10**4)
         assert kstest(props, "norm", args=(0, 0.15)).pvalue > 0.01
-        log_rates = [corrupt.sample_log_rate(1.3, draws) for _ in range(10**4)]
+        log_rates = np.log(draws(CorruptionKind.SPEED_VARIATION, 2 * 10**4))
         assert kstest(log_rates, "norm", args=(0, math.log(1.3))).pvalue > 0.01
 
         sr, n = 8000, 8000
@@ -150,6 +157,40 @@ def test_corruption_suite():
         spec = np.abs(np.fft.rfft(core * np.hanning(core.shape[0])))
         peak = np.argmax(spec) * sr / core.shape[0]
         assert abs(peak - 880.0) <= sr / core.shape[0]
+
+
+def test_corrupt_cli_writes_the_audio_the_sweep_scores(toy_root, tmp_path, monkeypatch):
+    with criterion("corrupt CLI reproduces sweep seed 0"):
+        cfg = ExperimentConfig(
+            data_root=str(toy_root), output_dir=str(tmp_path / "sweep"),
+            models=("cnn_base",), severities=(6,), n_seeds=1, master_seed=11,
+            lr=1e-3, max_epochs=2, patience=1, batch_size=8,
+        )
+        calls = []
+        real_apply = harness.corruptmod.apply
+
+        def recording_apply(spec, w):
+            out = real_apply(spec, w)
+            calls.append((spec, w, out))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(harness.corruptmod, "apply", recording_apply)
+            assert not run_experiment(cfg).failures
+        assert {spec.kind for spec, _, _ in calls} == set(CorruptionKind)
+
+        for kind in CorruptionKind:
+            out_dir = tmp_path / "cli" / kind.value
+            assert cli_main(["corrupt", "--kind", kind.value, "--severity", "6",
+                             "--seed", "11", "--in", str(toy_root), "--out", str(out_dir)]) == 0
+            with open(out_dir / "corruption_log.csv", newline="") as fh:
+                log_rows = {r["file"]: r for r in csv.DictReader(fh)}
+            for spec, w, out in (c for c in calls if c[0].kind == kind):
+                rel = str(Path(w.source_id).relative_to(toy_root))
+                write_wav(tmp_path / "sweep.wav", out)  # 16-bit quantisation
+                assert (out_dir / rel).read_bytes() == (tmp_path / "sweep.wav").read_bytes()
+                assert float(log_rows[rel]["drawn_parameter"]) == draw(spec, w)
+                assert float(log_rows[rel]["severity_value"]) == spec.severity_value
 
 
 def test_dsp_suite():

@@ -36,6 +36,25 @@ def test_featurize_quanv_maps(toy_root, tmp_path):
     assert np.all(np.abs(fmap.values) <= 1 + 1e-12)
 
 
+def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path):
+    # manifest paths outside --in are named by basename: a/x.wav and b/x.wav
+    # would both write x.gram
+    sources = sorted((toy_root / "low").glob("*.wav"))[:2]
+    for sub, src in zip("ab", sources):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.wav").write_bytes(src.read_bytes())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label\n{tmp_path / 'a' / 'x.wav'},low\n"
+                        f"{tmp_path / 'b' / 'x.wav'},low\n")
+    out = tmp_path / "grams"
+    with pytest.raises(ValueError) as info:
+        main(["featurize", "--in", str(toy_root), "--out", str(out),
+              "--manifest", str(manifest)])
+    assert str(tmp_path / "a" / "x.wav") in str(info.value)
+    assert str(tmp_path / "b" / "x.wav") in str(info.value)
+    assert not list(out.rglob("*.gram"))
+
+
 def test_corrupt_tree_with_sidecar(toy_root, tmp_path):
     out = tmp_path / "corrupted"
     code = main([

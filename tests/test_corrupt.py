@@ -1,5 +1,6 @@
 """Corruption generators: severity table, identity paths, length and
-amplitude contracts, forced-parameter oracles, and sampler statistics."""
+amplitude contracts, forced-parameter oracles, the clamps in ``draw``,
+and the statistics of its draws."""
 
 import math
 from fractions import Fraction
@@ -19,18 +20,12 @@ from quanvaudio.corrupt import (
     CorruptionKind,
     CorruptionSpec,
     apply,
-    drawn_parameter,
+    draw,
     gaussian_noise,
-    pitch_shift,
     pitch_shift_by,
-    sample_log_rate,
-    sample_semitone,
-    sample_shift_proportion,
     severity_value,
     shift_samples,
     speed_by,
-    speed_variation,
-    temporal_shift,
 )
 
 SR = 8000
@@ -100,9 +95,12 @@ def test_gaussian_monte_carlo_std():
     assert abs(np.std(ratio) - sigma) / sigma < 0.01
 
 
-def test_gaussian_negative_sigma():
-    with pytest.raises(ValueError):
-        gaussian_noise(_tone(), -0.1, seed=0)
+def test_gaussian_draw_is_sigma():
+    # the noise itself is drawn per sample from the spec's seed
+    w = _noise()
+    spec = CorruptionSpec(CorruptionKind.GAUSSIAN_NOISE, 3, seed=12)
+    assert draw(spec, w) == 0.1
+    np.testing.assert_array_equal(apply(spec, w).samples, gaussian_noise(w, 0.1, 12).samples)
 
 
 # ---------------------------------------------------------------------------
@@ -123,30 +121,52 @@ def test_forced_left_shift():
     np.testing.assert_array_equal(out.samples[7:], 0.0)
 
 
-def test_shift_clamped_when_exceeding_length():
+def test_shift_clamped_when_exceeding_length(caplog, monkeypatch):
     w = Waveform(np.arange(1, 6) / 10.0, SR)
-    out = shift_samples(w, 50)
-    assert len(out) == 5
-    np.testing.assert_array_equal(out.samples[:4], 0.0)
-    assert out.samples[4] == w.samples[0]
+    assert shift_samples(w, 4).samples[4] == w.samples[0]
+    with pytest.raises(ValueError):
+        shift_samples(w, 5)
+    # sigma_t = 10 so that draws leave the 5-sample wave: seed 0 draws
+    # p = 1.26 (a shift of 6) and seed 4 draws p = -6.52 (a shift of -33)
+    monkeypatch.setitem(SEVERITY_TABLE, CorruptionKind.TEMPORAL_SHIFT, (10.0,) * 6)
+    for seed, clamped in ((0, 0.8), (4, -0.8)):
+        spec = CorruptionSpec(CorruptionKind.TEMPORAL_SHIFT, 6, seed)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert draw(spec, w) == clamped
+        assert any("clamped" in r.getMessage() for r in caplog.records)
+        out = apply(spec, w)
+        assert len(out) == 5
+        np.testing.assert_array_equal(out.samples, shift_samples(w, round(5 * clamped)).samples)
+    np.testing.assert_array_equal(out.samples[:1], w.samples[4:])
+    np.testing.assert_array_equal(out.samples[1:], 0.0)
+
+
+def test_draw_is_the_applied_shift_on_a_one_sample_wave():
+    # the raw draw is p = -0.657 (a shift of -1); the applied shift is 0
+    w = Waveform(np.array([0.5]), SR)
+    spec = CorruptionSpec(CorruptionKind.TEMPORAL_SHIFT, 6, seed=755)
+    assert draw(spec, w) == 0.0
+    assert apply(spec, w) is w
 
 
 def test_temporal_sigma_zero_identity():
     w = _tone()
-    assert temporal_shift(w, 0.0, seed=4) is w
+    assert shift_samples(w, 0) is w
+    assert draw(CorruptionSpec(CorruptionKind.TEMPORAL_SHIFT, 0, seed=4), w) == 0.0
 
 
 @given(st.integers(50, 5000), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_temporal_shift_preserves_length(n, seed):
     w = Waveform(np.random.default_rng(n).uniform(-0.5, 0.5, n), SR)
-    assert len(temporal_shift(w, 0.15, seed)) == n
+    assert len(apply(CorruptionSpec(CorruptionKind.TEMPORAL_SHIFT, 6, seed), w)) == n
 
 
 def test_temporal_shift_matches_drawn_parameter():
     w = _noise(2000)
     spec = CorruptionSpec(CorruptionKind.TEMPORAL_SHIFT, 6, seed=99)
-    p = drawn_parameter(spec, w)
+    p = draw(spec, w)
     expected = shift_samples(w, int(round(p * len(w))))
     np.testing.assert_array_equal(apply(spec, w).samples, expected.samples)
 
@@ -157,9 +177,8 @@ def test_temporal_shift_matches_drawn_parameter():
 
 def test_speed_sigma_one_identity():
     w = _tone()
-    assert speed_variation(w, 1.0, seed=5) is w
-    with pytest.raises(ValueError):
-        speed_variation(w, 0.9, seed=5)
+    assert speed_by(w, 1.0) is w
+    assert draw(CorruptionSpec(CorruptionKind.SPEED_VARIATION, 0, seed=5), w) == 1.0
 
 
 def test_forced_double_speed_zero_pads_tail():
@@ -171,18 +190,26 @@ def test_forced_double_speed_zero_pads_tail():
     assert np.std(out.samples[: len(w) // 4]) > 0.1
 
 
-def test_speed_rate_clamped(caplog):
+def test_speed_rate_clamped(caplog, monkeypatch):
+    # sigma_s = 10 so that some seeds draw a rate outside 0.25..4: seed 3
+    # draws 109.9 and seed 8 draws 0.018
+    monkeypatch.setitem(SEVERITY_TABLE, CorruptionKind.SPEED_VARIATION, (10.0,) * 6)
     w = _noise(2000)
-    with caplog.at_level("WARNING"):
-        out = speed_by(w, 10.0)
-    assert len(out) == len(w)
-    assert any("clamped" in r.getMessage() for r in caplog.records)
+    for seed, clamped in ((3, 4.0), (8, 0.25)):
+        spec = CorruptionSpec(CorruptionKind.SPEED_VARIATION, 6, seed)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert draw(spec, w) == clamped
+        assert any("clamped" in r.getMessage() for r in caplog.records)
+        out = apply(spec, w)
+        assert len(out) == len(w)
+        np.testing.assert_array_equal(out.samples, speed_by(w, clamped).samples)
 
 
 def test_speed_preserves_length():
     w = _noise(3777)
     for seed in range(5):
-        assert len(speed_variation(w, 1.3, seed)) == len(w)
+        assert len(apply(CorruptionSpec(CorruptionKind.SPEED_VARIATION, 6, seed), w)) == len(w)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +218,8 @@ def test_speed_preserves_length():
 
 def test_pitch_sigma_zero_identity():
     w = _tone()
-    assert pitch_shift(w, 0.0, seed=6) is w
+    assert pitch_shift_by(w, 0.0) is w
+    assert draw(CorruptionSpec(CorruptionKind.PITCH_SHIFT, 0, seed=6), w) == 0.0
 
 
 def _dominant_freq(x):
@@ -217,20 +245,26 @@ def test_pitch_down_octave_halves_peak():
 def test_pitch_preserves_length():
     w = _noise(5123)
     for seed in range(3):
-        assert len(pitch_shift(w, 0.3, seed)) == len(w)
+        assert len(apply(CorruptionSpec(CorruptionKind.PITCH_SHIFT, 6, seed), w)) == len(w)
 
 
 # ---------------------------------------------------------------------------
-# Samplers
+# Draws
+
+
+def _draws(kind, severity, n, first_seed):
+    """``draw`` of one spec per seed, on a wave long enough that none of them clamps."""
+    w = _noise()
+    return np.array([draw(CorruptionSpec(kind, severity, s), w)
+                     for s in range(first_seed, first_seed + n)])
 
 
 def test_sampler_distributions_ks():
-    rng = np.random.default_rng(11)
-    deltas = np.array([sample_semitone(0.25, rng) for _ in range(2000)])
+    deltas = _draws(CorruptionKind.PITCH_SHIFT, 5, 2000, 0)  # sigma_p = 0.25
     assert kstest(deltas, "norm", args=(0, 0.25)).pvalue > 0.01
-    props = np.array([sample_shift_proportion(0.1, rng) for _ in range(2000)])
+    props = _draws(CorruptionKind.TEMPORAL_SHIFT, 4, 2000, 2000)  # sigma_t = 0.1
     assert kstest(props, "norm", args=(0, 0.1)).pvalue > 0.01
-    logs = np.array([sample_log_rate(1.3, rng) for _ in range(2000)])
+    logs = np.log(_draws(CorruptionKind.SPEED_VARIATION, 6, 2000, 4000))  # sigma_s = 1.3
     assert kstest(logs, "norm", args=(0, math.log(1.3))).pvalue > 0.01
 
 

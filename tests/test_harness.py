@@ -234,6 +234,10 @@ def test_config_validation():
     # rejected at construction, not after the first seed is featurized
     with pytest.raises(ValueError, match="patience"):
         ExperimentConfig(data_root="/d", output_dir="/o", max_epochs=1, patience=1)
+    # 0 would run a second clean cell; 7 and -1 would fail every eval cell
+    for severities in ((7,), (0,), (-1,), (1, 7)):
+        with pytest.raises(ValueError, match="severities"):
+            ExperimentConfig(data_root="/d", output_dir="/o", severities=severities)
 
 
 def test_model_instances_ids():
@@ -306,6 +310,19 @@ def test_rerun_reuses_checkpoints(mini_result, tmp_path):
     rerun = run_experiment(cfg, reuse_checkpoints=True, models_filter=["qnn_basic_d1"])
     assert not rerun.failures
     assert ckpt.read_bytes() == before
+
+
+def test_reused_checkpoint_must_match_model_and_classes(toy_root, tmp_path):
+    cfg = _tiny_config(toy_root, tmp_path)
+    ckpt = tmp_path / "checkpoint_cnn_base_seed0.bin"
+    for arch, n_classes in (("cnn_base", 3), ("qnn_basic", 2)):
+        nn.save_checkpoint(ckpt, arch, n_classes, nn.build_model(arch, n_classes, 0).get_params())
+        with pytest.raises(ValueError) as info:
+            run_experiment(cfg, reuse_checkpoints=True)
+        message = str(info.value)
+        assert str(ckpt) in message
+        found = f"found {arch} for {n_classes}"
+        assert f"expected a cnn_base checkpoint for 2 classes, {found}" in message
 
 
 def _tiny_config(toy_root, out, **overrides):
