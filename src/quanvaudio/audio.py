@@ -4,10 +4,14 @@ The front-end mirrors the common reference-library defaults: Hann window,
 centered frames with reflect padding, Slaney mel scale with area
 normalization. Output grams are per-sample min-max normalized to [0,1]
 and resized along time to a fixed 40x128, the model input shape.
+
+The mel projection sums each filter over its own band of FFT bins without
+a BLAS call, so a gram does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -83,6 +87,12 @@ class LogMelGram:
         return LogMelGram(vals, (float(vals.min()), float(vals.max())))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MelBank:
     weights: np.ndarray = field(repr=False)  # (n_mels, 1 + n_fft//2)
@@ -90,6 +100,35 @@ class MelBank:
     f_min: float = 0.0
     f_max: float = 8000.0
     center_freqs: np.ndarray = field(default=None, repr=False)
+    # Band layout, derived from weights: filter m is zero outside bins
+    # band_start[m] .. band_start[m] + width - 1, and band_weights[m] holds
+    # it over those bins. width is the widest filter's span of nonzero bins;
+    # band_start is clipped so that every band fits in the spectrum.
+    band_start: np.ndarray = field(init=False, repr=False)  # (n_mels,)
+    band_weights: np.ndarray = field(init=False, repr=False)  # (n_mels, width)
+
+    def __post_init__(self):
+        weights = _read_only(self.weights)
+        nonzero = weights != 0
+        n_bins = weights.shape[1]
+        first = nonzero.argmax(axis=1)
+        last = n_bins - 1 - nonzero[:, ::-1].argmax(axis=1)
+        # a filter narrower than the bin spacing can be all zero
+        width = int(np.where(nonzero.any(axis=1), last - first + 1, 1).max())
+        start = np.minimum(first, n_bins - width)
+        cols = start[:, None] + np.arange(width)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "band_start", _read_only(start))
+        object.__setattr__(self, "band_weights", _read_only(np.take_along_axis(weights, cols, 1)))
+        if self.center_freqs is not None:
+            object.__setattr__(self, "center_freqs", _read_only(self.center_freqs))
+
+    def project(self, power: np.ndarray) -> np.ndarray:
+        """Mel power (n_mels, frames) of a power spectrogram (bins, frames):
+        ``weights @ power`` summed over each filter's band only, and without
+        BLAS (``np.einsum`` calls it only when asked to optimize)."""
+        bins = self.band_start[:, None] + np.arange(self.band_weights.shape[1])
+        return np.einsum("mwt,mw->mt", np.take(power, bins, axis=0), self.band_weights)
 
 
 def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
@@ -216,8 +255,11 @@ def _mel_to_hz(m):
     return np.where(m < min_log_mel, lin, log_part)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_bank(sample_rate: int, n_mels: int = N_MELS, n_fft: int = N_FFT) -> MelBank:
-    """Slaney-style triangular filters, area-normalized."""
+    """Slaney-style triangular filters, area-normalized. Memoised for the
+    16 most recent argument tuples; every caller shares a bank, so its
+    arrays are read-only."""
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     if n_mels > n_fft // 2:
@@ -253,7 +295,7 @@ def log_mel(w: Waveform, bank: MelBank | None = None) -> LogMelGram:
     if bank is None:
         bank = mel_bank(w.sample_rate)
     power = stft_power(w)
-    mel_power = bank.weights @ power
+    mel_power = bank.project(power)
     logged = np.log(mel_power + LOG_EPS)
     logged = _resize_time(logged, TARGET_FRAMES)
     lo, hi = float(logged.min()), float(logged.max())

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import warnings
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -41,7 +42,8 @@ BASELINE_MODEL = "cnn_base"
 # Part of every feature cache key. Bump it whenever a cached gram or
 # feature map can change value, so entries written by older code miss.
 # 2: quanvolution through the folded per-channel observable.
-FEATURE_VERSION = 2
+# 3: log-Mel projection summed over each filter's band, without BLAS.
+FEATURE_VERSION = 3
 
 
 class ManifestError(ValueError):
@@ -211,6 +213,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        for name in ("models", "depths", "corruptions", "severities"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} lists {repeated} more than once: {values}")
+        ratios = self.split_ratios
+        if (len(ratios) != 3 or not all(0.0 < r < 1.0 for r in ratios)
+                or abs(sum(ratios) - 1.0) > 1e-9):
+            raise ValueError(
+                f"split_ratios must be three numbers in (0, 1) summing to 1, got {ratios}"
+            )
         if any(d < 1 for d in self.depths):
             raise ValueError("depths must be >= 1")
         for m in self.models:
@@ -313,9 +326,16 @@ class FeatureCache:
             except Exception as exc:  # corrupt cache entry
                 warnings.warn(f"cache entry {path} unreadable ({exc}); recomputing")
         arr = np.asarray(compute(), dtype=np.float64)
-        tmp = path.with_suffix(".tmp")
-        save_tensor(tmp, arr, layout="raw")
-        os.replace(tmp, path)
+        # a temp file of its own, so concurrent writers of one key never
+        # share a name; the last os.replace wins with a whole file
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=self.dir)
+        os.close(fd)
+        try:
+            save_tensor(tmp, arr, layout="raw")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return arr
 
 

@@ -1,12 +1,21 @@
 """Audio front-end: WAV ingestion golden values, STFT/Parseval oracle,
-an independently coded mel-bank reference, and log-Mel properties."""
+an independently coded mel-bank reference, the banded mel projection
+against the dense product, and log-Mel properties."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
+
+import quanvaudio
 
 from quanvaudio.audio import (
     HOP,
@@ -16,6 +25,7 @@ from quanvaudio.audio import (
     TARGET_FRAMES,
     AudioFormatError,
     LogMelGram,
+    MelBank,
     Waveform,
     _resize_time,
     hann_window,
@@ -277,6 +287,90 @@ def test_mel_bank_structure():
         mel_bank(0)
     with pytest.raises(ValueError):
         mel_bank(SR, n_mels=300)
+
+
+# 16 kHz with 200 mels has three all-zero filters, narrower than a bin
+@pytest.mark.parametrize("sr, n_mels, width",
+                         [(8000, N_MELS, 28), (16000, N_MELS, 36), (48000, N_MELS, 48),
+                          (16000, 200, 8)])
+def test_mel_bands_hold_every_nonzero_weight(sr, n_mels, width):
+    bank = mel_bank(sr, n_mels)
+    assert bank.band_weights.shape == (n_mels, width)
+    dense = np.zeros_like(bank.weights)
+    for m, start in enumerate(bank.band_start):
+        assert 0 <= start <= dense.shape[1] - width
+        dense[m, start : start + width] = bank.band_weights[m]
+    np.testing.assert_array_equal(dense, bank.weights)
+
+
+def test_mel_band_is_clipped_to_the_spectrum():
+    # the widest filter comes first, so the last band must start early
+    weights = np.zeros((2, 10))
+    weights[0, 0:6] = [1, 2, 3, 3, 2, 1]
+    weights[1, 8:10] = [1, 2]
+    bank = MelBank(weights)
+    np.testing.assert_array_equal(bank.band_start, [0, 4])
+    np.testing.assert_array_equal(bank.band_weights, [[1, 2, 3, 3, 2, 1], [0, 0, 0, 0, 1, 2]])
+    power = np.arange(30.0).reshape(10, 3)
+    np.testing.assert_array_equal(bank.project(power), weights @ power)
+
+
+def test_mel_bank_is_memoised_and_read_only():
+    bank = mel_bank(SR)
+    assert mel_bank(SR) is bank
+    assert mel_bank(22050) is not bank
+    for name in ("weights", "center_freqs", "band_start", "band_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bank, name)[0] = 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sr=st.integers(8000, 48000),
+    n_mels=st.sampled_from([N_MELS, 200]),
+    frames=st.integers(1, 150),
+    zero_bins=st.lists(st.integers(0, N_FFT // 2), max_size=40),
+    zero_frames=st.lists(st.integers(0, 149), max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_projection_matches_dense_product(sr, n_mels, frames, zero_bins, zero_frames,
+                                                seed):
+    bank = mel_bank(sr, n_mels)
+    rng = np.random.default_rng(seed)
+    # power over many decades, as a spectrum with silent bins and frames has
+    power = rng.uniform(0.0, 1.0, (1 + N_FFT // 2, frames)) * 10.0 ** rng.uniform(-12, 4, frames)
+    power[zero_bins] = 0.0
+    power[:, [f for f in zero_frames if f < frames]] = 0.0
+    want = bank.weights @ power  # the dense oracle
+    got = bank.project(power)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from quanvaudio.audio import Waveform, log_mel
+
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for sr, seconds in ((8000, 1.0), (16000, 1.0), (16000, 2.5), (20000, 0.5)):
+    x = rng.uniform(-0.9, 0.9, int(sr * seconds))
+    digest.update(log_mel(Waveform(x, sr)).values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_log_mel_bytes_do_not_depend_on_blas_threads():
+    package_root = str(Path(quanvaudio.__file__).resolve().parent.parent)
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests[threads] = out.stdout.strip()
+    assert digests["1"] == digests["2"], digests
 
 
 # ---------------------------------------------------------------------------

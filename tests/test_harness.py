@@ -4,6 +4,7 @@ the feature cache, config round-trips, and a miniature sweep."""
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -122,6 +123,28 @@ def test_cache_corrupt_entry_recomputed(tmp_path):
     np.testing.assert_array_equal(out, np.ones((2, 2)))
 
 
+def test_cache_write_does_not_collide_with_another_writers_temp_file(tmp_path):
+    # a directory at <key>.tmp stands in for the temp file of another run
+    # writing the same key into a shared cache
+    (tmp_path / "k3.tmp").mkdir()
+    cache = FeatureCache(tmp_path)
+    out = cache.get_or_compute("k3", lambda: np.full((2, 2), 7.0))
+    np.testing.assert_array_equal(out, np.full((2, 2), 7.0))
+    np.testing.assert_array_equal(harness.load_tensor(tmp_path / "k3.t64"), out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k3.t64", "k3.tmp"]
+
+
+def test_cache_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    def broken_save(path, array, layout):
+        Path(path).write_bytes(b"torn")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_tensor", broken_save)
+    with pytest.raises(OSError, match="disk full"):
+        FeatureCache(tmp_path).get_or_compute("k4", lambda: np.zeros(2))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_disabled_passthrough(monkeypatch):
     monkeypatch.delenv(harness.CACHE_ENV_VAR, raising=False)
     cache = FeatureCache(None)
@@ -150,6 +173,19 @@ def test_cache_entry_of_older_feature_version_misses(tmp_path, toy_root, monkeyp
     pipeline.clean_gram(wav)
     assert len(calls) == 1
     np.testing.assert_array_equal(harness.load_tensor(new_entries.pop()), gram)
+
+
+def test_gram_cached_under_feature_version_2_misses(tmp_path, toy_root, monkeypatch):
+    # grams of version 2 were projected by BLAS and depend on its thread count
+    wav = str(next(toy_root.rglob("*.wav")))
+    pipeline = FeaturePipeline(FeatureCache(tmp_path))
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "FEATURE_VERSION", 2)
+        old_key = FeatureCache.key("featurize", {"file": pipeline.file_hash(wav), "front": "gram"})
+    harness.save_tensor(tmp_path / f"{old_key}.t64", np.full((40, 128), 0.5), layout="raw")
+
+    gram = pipeline.clean_gram(wav)
+    np.testing.assert_array_equal(gram, harness.log_mel(harness.load_wav(wav)).values)
 
 
 def test_cache_key_names_version_and_front_end(monkeypatch):
@@ -238,6 +274,21 @@ def test_config_validation():
     for severities in ((7,), (0,), (-1,), (1, 7)):
         with pytest.raises(ValueError, match="severities"):
             ExperimentConfig(data_root="/d", output_dir="/o", severities=severities)
+    # a repeated entry would train or score the same cell twice and write
+    # every accuracy.csv row of it twice
+    for name, values, repeated in (
+        ("models", ("cnn_base", "cnn_base"), "['cnn_base']"),
+        ("depths", (1, 4, 1), "[1]"),
+        ("corruptions", ("pitch_shift", "gaussian_noise", "pitch_shift"), "['pitch_shift']"),
+        ("severities", (2, 2), "[2]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} lists {repeated}")):
+            ExperimentConfig(data_root="/d", output_dir="/o", **{name: values})
+    # ratios outside (0, 1) would fail later as a class "with only N samples"
+    for ratios in ((1.2, -0.1, -0.1), (0.8, 0.2, 0.0), (0.5, 0.3, 0.3), (0.5, 0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"split_ratios must be three numbers "
+                                                       f"in (0, 1) summing to 1, got {ratios}")):
+            ExperimentConfig(data_root="/d", output_dir="/o", split_ratios=ratios)
 
 
 def test_model_instances_ids():
