@@ -285,9 +285,14 @@ def _resize_time(mat: np.ndarray, target: int) -> np.ndarray:
         return mat
     if t == 1:
         return np.repeat(mat, target, axis=1)
+    # np.interp's formula at the grid points xp = 0..t-1, where each slope's
+    # denominator is 1.0, over every row at once; a point on xp = t-1 copies it
     xq = np.linspace(0.0, t - 1.0, target)
-    xp = np.arange(t, dtype=np.float64)
-    return np.stack([np.interp(xq, xp, row) for row in mat])
+    j = np.minimum(xq.astype(np.intp), t - 2)
+    left = mat[:, j]
+    out = (mat[:, j + 1] - left) * (xq - j) + left
+    out[:, xq == t - 1.0] = mat[:, -1:]
+    return out
 
 
 def log_mel(w: Waveform, bank: MelBank | None = None) -> LogMelGram:

@@ -31,6 +31,13 @@ def _iter_wavs(in_dir: Path, manifest: Path | None):
         yield from sorted(in_dir.rglob("*.wav"))
 
 
+def _seed_index(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed index must be >= 0, got {value}")
+    return value
+
+
 def cmd_featurize(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -61,7 +68,7 @@ def cmd_corrupt(args) -> int:
     for wav_path in sorted(in_dir.rglob("*.wav")):
         rel = wav_path.relative_to(in_dir)
         spec = harness.corruption_spec(
-            args.seed, 0, kind, args.severity, harness.file_sha256(wav_path)
+            args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
         )
         w = load_wav(wav_path)
         out_path = out_dir / rel
@@ -135,6 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value for k in CorruptionKind])
     p.add_argument("--severity", type=int, required=True, choices=range(0, 7))
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed-index", type=_seed_index, default=0,
+                   help="the sweep seed index whose corruption to reproduce")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
     p.set_defaults(func=cmd_corrupt)

@@ -28,29 +28,43 @@ def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.n
 
 
 def _overlap_add(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
+    """Windowed overlap-add of the frames of ``spec``, normalised by the
+    summed squared window; ``n_fft`` is a multiple of ``hop``.
+
+    Output block b (hop samples) is the sum of the n_fft/hop frame blocks
+    that overlap it. They are added from zeros, the earliest frame first,
+    as a frame-by-frame loop would, so the sums round the same way."""
     frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
-    total = n_fft + hop * (frames.shape[0] - 1)
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = window**2
-    for i, frame in enumerate(frames):
-        out[i * hop : i * hop + n_fft] += frame
-        norm[i * hop : i * hop + n_fft] += wsq
-    out = out / np.maximum(norm, 1e-12)
+    n_frames, per_frame = frames.shape[0], n_fft // hop
+    total = n_fft + hop * (n_frames - 1)
+    out = np.zeros((total // hop, hop))
+    norm = np.zeros((total // hop, hop))
+    blocks = frames.reshape(n_frames, per_frame, hop)
+    wsq = (window**2).reshape(per_frame, hop)
+    # frame i's block j lands on output block i + j, so going down in j
+    # adds the earliest frame on each output block first
+    for j in reversed(range(per_frame)):
+        out[j : j + n_frames] += blocks[:, j]
+        norm[j : j + n_frames] += wsq[j]
+    out = out.reshape(-1) / np.maximum(norm.reshape(-1), 1e-12)
     return out[n_fft // 2 : total - n_fft // 2]
 
 
-def time_stretch(x: np.ndarray, rate: float, n_fft: int = _VOCODER_NFFT) -> np.ndarray:
+def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     """Stretch a waveform in time by ``rate`` at constant pitch.
 
     rate > 1 speeds the signal up (output is shorter), rate < 1 slows it
-    down; output length is approximately len(x)/rate.
+    down; output length is approximately len(x)/rate. Output step k reads
+    analysis frames i = floor(k*rate) and i+1: its magnitude interpolates
+    theirs, and its phase is frame 0's plus the first k phase advances,
+    summed one after the other (``np.add.accumulate``).
     """
     if rate <= 0 or not np.isfinite(rate):
         raise ValueError(f"stretch rate must be positive and finite, got {rate}")
     if rate == 1.0:
         return x
     x = np.asarray(x, dtype=np.float64)
+    n_fft = _VOCODER_NFFT
     hop = n_fft // 4
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
     spec = _frame_stft(x, n_fft, hop, window)
@@ -60,16 +74,17 @@ def time_stretch(x: np.ndarray, rate: float, n_fft: int = _VOCODER_NFFT) -> np.n
     spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
     omega = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
 
-    out = np.empty((n_bins, steps.shape[0]), dtype=np.complex128)
-    phase = np.angle(spec[:, 0])
-    for k, t in enumerate(steps):
-        i = int(t)
-        frac = t - i
-        mag = (1.0 - frac) * np.abs(spec[:, i]) + frac * np.abs(spec[:, i + 1])
-        out[:, k] = mag * np.exp(1j * phase)
-        dphi = np.angle(spec[:, i + 1]) - np.angle(spec[:, i]) - omega
-        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-        phase += omega + dphi
+    mags, angles = np.abs(spec), np.angle(spec)
+    i = steps.astype(np.intp)
+    frac = steps - i
+    mag = (1.0 - frac) * mags[:, i] + frac * mags[:, i + 1]
+    dphi = angles[:, i + 1] - angles[:, i] - omega[:, None]
+    dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+    advance = omega[:, None] + dphi
+    phase = np.add.accumulate(
+        np.concatenate([angles[:, :1], advance[:, :-1]], axis=1), axis=1
+    )
+    out = mag * np.exp(1j * phase)
 
     y = _overlap_add(out, n_fft, hop, window)
     target = int(round(x.shape[0] / rate))

@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import sys
 import tempfile
 import warnings
 from collections import defaultdict
@@ -185,7 +186,8 @@ def corruption_spec(
 ) -> CorruptionSpec:
     """The corruption of the file with SHA-256 ``file_hash`` in cell
     (``kind``, ``severity``) of sweep seed ``seed_idx``. The ``corrupt``
-    CLI uses seed index 0, so it writes the audio that seed 0 scores."""
+    CLI uses it with its ``--seed-index`` (default 0), so it writes the
+    audio that seed scores."""
     tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{file_hash}"
     return CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
 
@@ -250,7 +252,12 @@ class ExperimentConfig:
     @staticmethod
     def from_yaml(path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            return ExperimentConfig.from_dict(yaml.safe_load(fh))
+
+    @staticmethod
+    def from_dict(doc: dict) -> "ExperimentConfig":
+        """The config of a YAML or JSON document, whose lists become tuples."""
+        doc = dict(doc)
         for key in ("models", "depths", "corruptions", "severities", "split_ratios"):
             if key in doc and doc[key] is not None:
                 doc[key] = tuple(doc[key])
@@ -434,150 +441,51 @@ def run_experiment(
     evaluate_corrupted: bool = True,
     reuse_checkpoints: bool = False,
     models_filter: list[str] | None = None,
+    jobs: int | None = None,
 ) -> SweepResult:
     """Full sweep over seeds x models x corruption cells, cell-major.
 
-    Per seed: split, build the clean grams, then train every model on its
-    clean train/val features (each model's features are dropped once it
-    is trained). Then, for each test cell -- the clean test set first,
-    then every (kind, severity) -- build the cell's test grams once and
-    evaluate every trained model on them, so each corrupted test file is
-    corrupted and log-Mel'd once per seed, whatever the number of models.
-    A failed training run or cell is recorded and the sweep goes on. With
+    Each seed runs through ``_run_seed``, which writes the seed's
+    checkpoints, histories and confusion files. Seeds are independent, so
+    when more than one would run at once -- ``jobs`` of them (by default
+    the usable cores), never more than ``cfg.n_seeds`` -- each seed runs
+    in a child interpreter on one BLAS thread, and a seed that aborts
+    raises ``SeedFailed``. ``jobs=1``, one seed or one core run the seeds
+    in this process one after the other. Either way this process then
+    writes ``accuracy.csv``, the reports and ``failures.csv``. A failed
+    training run or cell is recorded and the sweep goes on. With
     ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
     retraining; ``models_filter`` restricts to the listed model ids.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion").mkdir(exist_ok=True)
     cfg.to_yaml(out_dir / "config.yaml")
 
     manifest = load_manifest(cfg.data_root, cfg.manifest_csv)
-    cache = FeatureCache(cfg.cache_dir)
-    pipeline = FeaturePipeline(cache)
-    instances = model_instances(cfg)
-    if models_filter is not None:
-        instances = [i for i in instances if i.model_id in models_filter]
-        if not instances:
-            raise ValueError(f"no configured model matches {models_filter}")
-    cells = [(None, 0)] + (corruption_cells(cfg) if evaluate_corrupted else [])
-    result = SweepResult(out_dir)
-
-    circuits = {
-        inst.model_id: build_circuit(inst.template, 4, inst.depth, cfg.circuit_seed)
-        for inst in instances
-        if inst.kind != BASELINE_MODEL
-    }
-    for model_id, circ in circuits.items():
+    instances = _instances(cfg, models_filter)
+    for model_id, circ in _circuits(cfg, instances).items():
         (out_dir / f"circuit_{model_id}.json").write_text(circ.to_json())
         (out_dir / f"circuit_{model_id}.terms.json").write_text(
             json.dumps(filter_terms(circ), indent=1)
         )
 
-    # `reuse_checkpoints` yields params, not networks, and a scoring network
-    # holds no training gradients, so one network per kind scores them all.
-    nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
-    for seed_idx in range(cfg.n_seeds):
-        train_rows, val_rows, test_rows = split(
-            manifest, cfg.split_ratios, derive_seed(cfg.master_seed, f"{seed_idx}/split")
-        )
-        leaked = {r.path for r in test_rows} & {r.path for r in train_rows + val_rows}
-        if leaked:
-            raise ValueError(
-                f"seed {seed_idx}: {len(leaked)} test files also in train/val, "
-                f"e.g. {sorted(leaked)[:3]}"
-            )
+    opts = dict(evaluate_corrupted=evaluate_corrupted, reuse_checkpoints=reuse_checkpoints,
+                models_filter=models_filter)
+    workers = min(cfg.n_seeds, jobs or _usable_cores())
+    if workers > 1:
+        seeds = _run_seeds_in_children(cfg, workers, opts)
+    else:
+        pipeline = FeaturePipeline(FeatureCache(cfg.cache_dir))
+        seeds = [_run_seed(cfg, seed_idx, manifest, pipeline, **opts)
+                 for seed_idx in range(cfg.n_seeds)]
 
-        grams = {r.path: pipeline.clean_gram(r.path) for r in train_rows + val_rows + test_rows}
-        labels = {
-            name: np.array([manifest.label_index(r) for r in rows])
-            for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
-        }
-
-        trained: list[tuple[ModelInstance, dict[str, np.ndarray]]] = []
-        for inst in instances:
-            ckpt_path = out_dir / f"checkpoint_{inst.model_id}_seed{seed_idx}.bin"
-            if reuse_checkpoints and ckpt_path.exists():
-                arch, n_classes, params = nnmod.load_checkpoint(ckpt_path)
-                if (arch, n_classes) != (inst.kind, manifest.n_classes):
-                    raise ValueError(
-                        f"{ckpt_path}: expected a {inst.kind} checkpoint for "
-                        f"{manifest.n_classes} classes, found {arch} for {n_classes}"
-                    )
-            else:
-                circuit = circuits.get(inst.model_id)
-                try:
-                    train_result = nnmod.train(
-                        nnmod.build_model(
-                            inst.kind,
-                            manifest.n_classes,
-                            derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
-                        ),
-                        _features([grams[r.path] for r in train_rows], circuit),
-                        labels["train"],
-                        _features([grams[r.path] for r in val_rows], circuit),
-                        labels["val"],
-                        cfg.train_config(
-                            derive_seed(cfg.master_seed, f"{seed_idx}/train/{inst.model_id}")
-                        ),
-                    )
-                except nnmod.TrainingDiverged as exc:
-                    result.record_failure(f"train/{seed_idx}/{inst.model_id}", exc)
-                    continue
-                _write_csv(
-                    out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
-                    ["epoch", "train_loss", "val_loss", "val_acc"],
-                    [
-                        [h["epoch"], h["train_loss"], h["val_loss"], h["val_acc"]]
-                        for h in train_result.history
-                    ],
-                )
-                params = train_result.params
-                nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes, params)
-            trained.append((inst, params))
-
-        for kind, sev in cells:
-            kind_name = "clean" if kind is None else kind.value
-            cell = f"{kind_name}/{sev}"
-            try:
-                test_grams = [
-                    grams[r.path] if kind is None else pipeline.corrupted_gram(
-                        r.path,
-                        corruption_spec(cfg.master_seed, seed_idx, kind, sev,
-                                        pipeline.file_hash(r.path)),
-                    )
-                    for r in test_rows
-                ]
-            except Exception as exc:  # no test set for this cell; keep sweeping
-                log.exception("cell failed: seed=%d cell=%s", seed_idx, cell)
-                for inst, _ in trained:
-                    result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
-                continue
-            confusion_name = "clean" if kind is None else f"{kind_name}_s{sev}"
-            for inst, params in trained:
-                try:
-                    net = nets[inst.kind]
-                    net.set_params(params)
-                    _, acc, preds = nnmod.evaluate(
-                        net, _features(test_grams, circuits.get(inst.model_id)),
-                        labels["test"],
-                    )
-                except Exception as exc:  # cell failure; keep sweeping
-                    log.exception("cell failed: seed=%d model=%s cell=%s",
-                                  seed_idx, inst.model_id, cell)
-                    result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
-                    continue
-                result.accuracy_rows.append(
-                    [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
-                )
-                _write_csv(
-                    out_dir / "confusion"
-                    / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
-                    [str(i) for i in range(manifest.n_classes)],
-                    metricsmod.confusion(preds, labels["test"], manifest.n_classes)
-                    .counts.tolist(),
-                )
-
+    result = SweepResult(out_dir)
+    for seed in seeds:
+        result.accuracy_rows += seed.accuracy_rows
+        result.failures += seed.failures
     result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
     _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
     if evaluate_corrupted:
@@ -590,6 +498,235 @@ def run_experiment(
         _write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
     return result
+
+
+def _instances(cfg: ExperimentConfig, models_filter: list[str] | None) -> list[ModelInstance]:
+    instances = model_instances(cfg)
+    if models_filter is not None:
+        instances = [i for i in instances if i.model_id in models_filter]
+        if not instances:
+            raise ValueError(f"no configured model matches {models_filter}")
+    return instances
+
+
+def _circuits(cfg: ExperimentConfig, instances: list[ModelInstance]) -> dict[str, CircuitSpec]:
+    return {
+        inst.model_id: build_circuit(inst.template, 4, inst.depth, cfg.circuit_seed)
+        for inst in instances
+        if inst.kind != BASELINE_MODEL
+    }
+
+
+def _run_seed(
+    cfg: ExperimentConfig,
+    seed_idx: int,
+    manifest: DatasetManifest,
+    pipeline: FeaturePipeline,
+    *,
+    evaluate_corrupted: bool,
+    reuse_checkpoints: bool,
+    models_filter: list[str] | None,
+) -> SweepResult:
+    """One seed of ``run_experiment``: split, build the clean grams, then
+    train every model on its clean train/val features (each model's
+    features are dropped once it is trained). Then, for each test cell --
+    the clean test set first, then every (kind, severity) -- build the
+    cell's test grams once and evaluate every trained model on them, so
+    each corrupted test file is corrupted and log-Mel'd once per seed,
+    whatever the number of models. Writes the seed's checkpoints,
+    histories and confusion files, and returns its accuracy rows and
+    failures."""
+    out_dir = Path(cfg.output_dir)
+    instances = _instances(cfg, models_filter)
+    circuits = _circuits(cfg, instances)
+    cells = [(None, 0)] + (corruption_cells(cfg) if evaluate_corrupted else [])
+    result = SweepResult(out_dir)
+    # `reuse_checkpoints` yields params, not networks, and a scoring network
+    # holds no training gradients, so one network per kind scores them all.
+    nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
+
+    train_rows, val_rows, test_rows = split(
+        manifest, cfg.split_ratios, derive_seed(cfg.master_seed, f"{seed_idx}/split")
+    )
+    leaked = {r.path for r in test_rows} & {r.path for r in train_rows + val_rows}
+    if leaked:
+        raise ValueError(
+            f"seed {seed_idx}: {len(leaked)} test files also in train/val, "
+            f"e.g. {sorted(leaked)[:3]}"
+        )
+
+    grams = {r.path: pipeline.clean_gram(r.path) for r in train_rows + val_rows + test_rows}
+    labels = {
+        name: np.array([manifest.label_index(r) for r in rows])
+        for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
+    }
+
+    trained: list[tuple[ModelInstance, dict[str, np.ndarray]]] = []
+    for inst in instances:
+        ckpt_path = out_dir / f"checkpoint_{inst.model_id}_seed{seed_idx}.bin"
+        if reuse_checkpoints and ckpt_path.exists():
+            arch, n_classes, params = nnmod.load_checkpoint(ckpt_path)
+            if (arch, n_classes) != (inst.kind, manifest.n_classes):
+                raise ValueError(
+                    f"{ckpt_path}: expected a {inst.kind} checkpoint for "
+                    f"{manifest.n_classes} classes, found {arch} for {n_classes}"
+                )
+        else:
+            circuit = circuits.get(inst.model_id)
+            try:
+                train_result = nnmod.train(
+                    nnmod.build_model(
+                        inst.kind,
+                        manifest.n_classes,
+                        derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
+                    ),
+                    _features([grams[r.path] for r in train_rows], circuit),
+                    labels["train"],
+                    _features([grams[r.path] for r in val_rows], circuit),
+                    labels["val"],
+                    cfg.train_config(
+                        derive_seed(cfg.master_seed, f"{seed_idx}/train/{inst.model_id}")
+                    ),
+                )
+            except nnmod.TrainingDiverged as exc:
+                result.record_failure(f"train/{seed_idx}/{inst.model_id}", exc)
+                continue
+            _write_csv(
+                out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
+                ["epoch", "train_loss", "val_loss", "val_acc"],
+                [
+                    [h["epoch"], h["train_loss"], h["val_loss"], h["val_acc"]]
+                    for h in train_result.history
+                ],
+            )
+            params = train_result.params
+            nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes, params)
+        trained.append((inst, params))
+
+    for kind, sev in cells:
+        kind_name = "clean" if kind is None else kind.value
+        cell = f"{kind_name}/{sev}"
+        try:
+            test_grams = [
+                grams[r.path] if kind is None else pipeline.corrupted_gram(
+                    r.path,
+                    corruption_spec(cfg.master_seed, seed_idx, kind, sev,
+                                    pipeline.file_hash(r.path)),
+                )
+                for r in test_rows
+            ]
+        except Exception as exc:  # no test set for this cell; keep sweeping
+            log.exception("cell failed: seed=%d cell=%s", seed_idx, cell)
+            for inst, _ in trained:
+                result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
+            continue
+        confusion_name = "clean" if kind is None else f"{kind_name}_s{sev}"
+        for inst, params in trained:
+            try:
+                net = nets[inst.kind]
+                net.set_params(params)
+                _, acc, preds = nnmod.evaluate(
+                    net, _features(test_grams, circuits.get(inst.model_id)),
+                    labels["test"],
+                )
+            except Exception as exc:  # cell failure; keep sweeping
+                log.exception("cell failed: seed=%d model=%s cell=%s",
+                              seed_idx, inst.model_id, cell)
+                result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
+                continue
+            result.accuracy_rows.append(
+                [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
+            )
+            _write_csv(
+                out_dir / "confusion"
+                / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
+                [str(i) for i in range(manifest.n_classes)],
+                metricsmod.confusion(preds, labels["test"], manifest.n_classes)
+                .counts.tolist(),
+            )
+    return result
+
+
+class SeedFailed(RuntimeError):
+    """A seed that ran in a child process aborted the sweep."""
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# numpy's BLAS reads these when it is imported; one thread per child keeps
+# each child on one core and its results equal to a one-thread in-process run
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _run_seeds_in_children(cfg: ExperimentConfig, workers: int, opts: dict) -> list[SweepResult]:
+    """Run every seed of ``cfg`` in a child interpreter (``_seedchild``),
+    ``workers`` at a time, and return their results in seed order.
+
+    Each child writes its seed's files itself and sends its accuracy rows
+    and failures back as one JSON document on its standard output; its
+    standard error is this process's. Every child is reaped before this
+    returns or raises: on a failed seed, an interrupt or any other error,
+    the children still running are killed first."""
+    # here, not at the top: every CLI call imports this module
+    import selectors
+    import subprocess
+
+    package_parent = str(Path(__file__).resolve().parent.parent)
+    env = dict(os.environ, **_ONE_BLAS_THREAD)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    job = {"config": asdict(cfg), "log_level": log.getEffectiveLevel(), **opts}
+    pending = list(range(cfg.n_seeds))
+    running: dict[int, tuple[int, subprocess.Popen, list[bytes]]] = {}  # by stdout fd
+    results: dict[int, SweepResult] = {}
+    with selectors.DefaultSelector() as selector:
+        try:
+            while pending or running:
+                while pending and len(running) < workers:
+                    seed_idx = pending.pop(0)
+                    proc = subprocess.Popen(
+                        [sys.executable, "-m", "quanvaudio._seedchild",
+                         json.dumps({**job, "seed_idx": seed_idx})],
+                        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, env=env,
+                    )
+                    running[proc.stdout.fileno()] = (seed_idx, proc, [])
+                    selector.register(proc.stdout, selectors.EVENT_READ)
+                for key, _ in selector.select():
+                    seed_idx, proc, chunks = running[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    selector.unregister(key.fileobj)
+                    del running[key.fd]
+                    proc.stdout.close()
+                    proc.wait()
+                    results[seed_idx] = _child_result(cfg, seed_idx, proc.returncode,
+                                                      b"".join(chunks))
+        finally:
+            for _, proc, _ in running.values():
+                proc.kill()
+            for _, proc, _ in running.values():
+                proc.wait()
+                proc.stdout.close()
+    return [results[seed_idx] for seed_idx in range(cfg.n_seeds)]
+
+
+def _child_result(cfg: ExperimentConfig, seed_idx: int, returncode: int,
+                  output: bytes) -> SweepResult:
+    if returncode == 0:
+        doc = json.loads(output)
+        return SweepResult(Path(cfg.output_dir), doc["rows"],
+                           [tuple(f) for f in doc["failures"]])
+    try:
+        reason = "{}: {}".format(*json.loads(output)["error"])
+    except (ValueError, KeyError, TypeError):  # it died before it could report
+        reason = f"child exited with code {returncode} and no result"
+    raise SeedFailed(f"seed {seed_idx}: {reason}")
 
 
 def write_reports(

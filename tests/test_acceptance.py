@@ -160,10 +160,10 @@ def test_corruption_suite():
 
 
 def test_corrupt_cli_writes_the_audio_the_sweep_scores(toy_root, tmp_path, monkeypatch):
-    with criterion("corrupt CLI reproduces sweep seed 0"):
+    with criterion("corrupt CLI reproduces sweep seeds 0 and 1"):
         cfg = ExperimentConfig(
             data_root=str(toy_root), output_dir=str(tmp_path / "sweep"),
-            models=("cnn_base",), severities=(6,), n_seeds=1, master_seed=11,
+            models=("cnn_base",), severities=(6,), n_seeds=2, master_seed=11,
             lr=1e-3, max_epochs=2, patience=1, batch_size=8,
         )
         calls = []
@@ -176,21 +176,33 @@ def test_corrupt_cli_writes_the_audio_the_sweep_scores(toy_root, tmp_path, monke
 
         with monkeypatch.context() as m:
             m.setattr(harness.corruptmod, "apply", recording_apply)
-            assert not run_experiment(cfg).failures
+            # in this process, so that the recording sees both seeds
+            assert not run_experiment(cfg, jobs=1).failures
         assert {spec.kind for spec, _, _ in calls} == set(CorruptionKind)
 
-        for kind in CorruptionKind:
-            out_dir = tmp_path / "cli" / kind.value
-            assert cli_main(["corrupt", "--kind", kind.value, "--severity", "6",
-                             "--seed", "11", "--in", str(toy_root), "--out", str(out_dir)]) == 0
-            with open(out_dir / "corruption_log.csv", newline="") as fh:
-                log_rows = {r["file"]: r for r in csv.DictReader(fh)}
-            for spec, w, out in (c for c in calls if c[0].kind == kind):
-                rel = str(Path(w.source_id).relative_to(toy_root))
-                write_wav(tmp_path / "sweep.wav", out)  # 16-bit quantisation
-                assert (out_dir / rel).read_bytes() == (tmp_path / "sweep.wav").read_bytes()
-                assert float(log_rows[rel]["drawn_parameter"]) == draw(spec, w)
-                assert float(log_rows[rel]["severity_value"]) == spec.severity_value
+        checked = 0
+        for seed_index in (0, 1):
+            for kind in CorruptionKind:
+                out_dir = tmp_path / "cli" / str(seed_index) / kind.value
+                assert cli_main(["corrupt", "--kind", kind.value, "--severity", "6",
+                                 "--seed", "11", "--seed-index", str(seed_index),
+                                 "--in", str(toy_root), "--out", str(out_dir)]) == 0
+                with open(out_dir / "corruption_log.csv", newline="") as fh:
+                    log_rows = {r["file"]: r for r in csv.DictReader(fh)}
+                scored = [
+                    (spec, w, out) for spec, w, out in calls
+                    if spec == harness.corruption_spec(
+                        11, seed_index, kind, 6, harness.file_sha256(w.source_id))
+                ]
+                assert scored, (seed_index, kind)
+                for spec, w, out in scored:
+                    rel = str(Path(w.source_id).relative_to(toy_root))
+                    write_wav(tmp_path / "sweep.wav", out)  # 16-bit quantisation
+                    assert (out_dir / rel).read_bytes() == (tmp_path / "sweep.wav").read_bytes()
+                    assert float(log_rows[rel]["drawn_parameter"]) == draw(spec, w)
+                    assert float(log_rows[rel]["severity_value"]) == spec.severity_value
+                checked += len(scored)
+        assert checked == len(calls)  # every corruption the sweep scored
 
 
 def test_dsp_suite():

@@ -429,6 +429,24 @@ def test_resize_time():
     np.testing.assert_array_equal(_resize_time(np.array([[3.0]]), 4)[0], [3.0] * 4)
 
 
+def _resize_time_loop(mat, target):
+    """Row-by-row np.interp, kept as the oracle of _resize_time."""
+    t = mat.shape[1]
+    if t == 1:
+        return np.repeat(mat, target, axis=1)
+    xq = np.linspace(0.0, t - 1.0, target)
+    return np.stack([np.interp(xq, np.arange(t, dtype=np.float64), row) for row in mat])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 41), t=st.integers(1, 400), target=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_resize_time_matches_per_row_interp(rows, t, target, seed):
+    rng = np.random.default_rng(seed)
+    mat = np.log(rng.uniform(0.0, 1.0, (rows, t)) * 10.0 ** rng.uniform(-12, 4, t) + LOG_EPS)
+    np.testing.assert_array_equal(_resize_time(mat, target), _resize_time_loop(mat, target))
+
+
 def test_gram_round_trip(tmp_path):
     gram = log_mel(_sine(700))
     path = tmp_path / "g.gram"

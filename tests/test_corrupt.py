@@ -313,6 +313,74 @@ def test_time_stretch_lengths():
         dsp.time_stretch(x, np.inf)
 
 
+def _overlap_add_loop(spec, n_fft, hop, window):
+    """The frame-by-frame overlap-add, kept as the oracle of dsp._overlap_add."""
+    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
+    total = n_fft + hop * (frames.shape[0] - 1)
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    wsq = window**2
+    for i, frame in enumerate(frames):
+        out[i * hop : i * hop + n_fft] += frame
+        norm[i * hop : i * hop + n_fft] += wsq
+    out = out / np.maximum(norm, 1e-12)
+    return out[n_fft // 2 : total - n_fft // 2]
+
+
+def _time_stretch_loop(x, rate, n_fft=1024):
+    """The per-step phase vocoder, kept as the oracle of dsp.time_stretch."""
+    hop = n_fft // 4
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
+    spec = dsp._frame_stft(x, n_fft, hop, window)
+    n_bins, n_frames = spec.shape
+    steps = np.arange(0.0, n_frames, rate)
+    spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
+    omega = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
+    out = np.empty((n_bins, steps.shape[0]), dtype=np.complex128)
+    phase = np.angle(spec[:, 0])
+    for k, t in enumerate(steps):
+        i = int(t)
+        frac = t - i
+        mag = (1.0 - frac) * np.abs(spec[:, i]) + frac * np.abs(spec[:, i + 1])
+        out[:, k] = mag * np.exp(1j * phase)
+        dphi = np.angle(spec[:, i + 1]) - np.angle(spec[:, i]) - omega
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        phase += omega + dphi
+    y = _overlap_add_loop(out, n_fft, hop, window)
+    return dsp.fix_length(y, int(round(x.shape[0] / rate)))
+
+
+# the speed-variation rates of every severity, their inverses, and a wide range
+_STRETCH_RATES = tuple(r for s in SEVERITY_TABLE[CorruptionKind.SPEED_VARIATION]
+                       for r in (s, 1.0 / s)) + (0.5, 2.0, 3.7)
+
+
+@given(
+    st.integers(1, 24_000),
+    st.one_of(st.sampled_from(_STRETCH_RATES), st.floats(0.4, 2.5)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_time_stretch_matches_per_step_loop(n, rate, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    if rate == 1.0:
+        return
+    np.testing.assert_array_equal(dsp.time_stretch(x, rate), _time_stretch_loop(x, rate))
+
+
+@given(st.integers(1, 40), st.sampled_from([(1024, 256), (64, 16), (48, 48), (60, 20)]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_overlap_add_matches_frame_loop(n_frames, sizes, seed):
+    n_fft, hop = sizes
+    rng = np.random.default_rng(seed)
+    spec = rng.normal(size=(n_fft // 2 + 1, n_frames)) + 1j * rng.normal(size=(n_fft // 2 + 1,
+                                                                              n_frames))
+    window = rng.uniform(0.0, 1.0, n_fft)
+    np.testing.assert_array_equal(dsp._overlap_add(spec, n_fft, hop, window),
+                                  _overlap_add_loop(spec, n_fft, hop, window))
+
+
 def test_resample_ratio():
     x = np.random.default_rng(2).uniform(-0.5, 0.5, 1000)
     assert dsp.resample_ratio(x, 1.0) is x

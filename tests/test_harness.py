@@ -490,6 +490,118 @@ def test_models_filter_unknown(mini_result):
 
 
 # ---------------------------------------------------------------------------
+# Seeds in child processes
+
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Shared by the scripts below: a 2-seed mini sweep, a count of the child
+# processes it starts, and a check that none is left running or unreaped.
+_SWEEP_SCRIPT_HEAD = """
+import os, signal, subprocess, sys
+from pathlib import Path
+from quanvaudio import harness, nn
+
+data, root = sys.argv[1], Path(sys.argv[2])
+started = []
+real_popen = subprocess.Popen
+
+class CountingPopen(real_popen):
+    def __init__(self, *args, **kwargs):
+        started.append(args[0])
+        super().__init__(*args, **kwargs)
+
+subprocess.Popen = CountingPopen
+
+def config(name, **overrides):
+    fields = dict(data_root=data, output_dir=str(root / name), models=("cnn_base", "qnn_basic"),
+                  depths=(1,), corruptions=("gaussian_noise", "speed_variation"), severities=(2,),
+                  n_seeds=2, lr=1e-3, max_epochs=3, patience=2, batch_size=8)
+    return harness.ExperimentConfig(**(fields | overrides))
+
+def assert_no_child_left(when):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    sys.exit(f"a child process is still running or unreaped after {when}")
+"""
+
+
+def _run_sweep_script(body: str, toy_root, tmp_path) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT_HEAD + body, str(toy_root), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_seeds_in_children_write_the_in_process_tree(toy_root, tmp_path):
+    """With one BLAS thread in every process, a sweep whose seeds run in
+    child processes writes the same bytes as one that runs them in turn."""
+    out = _run_sweep_script("""
+for jobs in (1, 2):
+    harness.run_experiment(config(f"jobs{jobs}", cache_dir=str(root / f"cache{jobs}")), jobs=jobs)
+    assert_no_child_left(f"a jobs={jobs} sweep")
+    print(f"jobs={jobs} started {len(started)}")
+""", toy_root, tmp_path)
+    assert out.split("\n")[:2] == ["jobs=1 started 0", "jobs=2 started 2"]
+    trees = [tmp_path / "jobs1", tmp_path / "jobs2"]
+    files = [sorted(p.relative_to(tree) for p in tree.rglob("*") if p.is_file())
+             for tree in trees]
+    assert files[0] == files[1]
+    assert Path("checkpoint_qnn_basic_d1_seed1.bin") in files[0]
+    assert Path("confusion/cnn_base_seed1_speed_variation_s2.csv") in files[0]
+    differ = [str(f) for f in files[0]
+              if (trees[0] / f).read_bytes() != (trees[1] / f).read_bytes()]
+    assert differ == ["config.yaml"]
+
+
+def test_failed_or_interrupted_seeds_leave_no_process(toy_root, tmp_path):
+    out = _run_sweep_script("""
+cfg = config("stale", models=("cnn_base",))
+Path(cfg.output_dir).mkdir()
+nn.save_checkpoint(Path(cfg.output_dir) / "checkpoint_cnn_base_seed1.bin", "qnn_basic", 2,
+                   nn.build_model("qnn_basic", 2, 0).get_params())
+try:
+    harness.run_experiment(cfg, reuse_checkpoints=True, jobs=2)
+except harness.SeedFailed as exc:
+    print("raised:", exc)
+assert_no_child_left("a failed seed")
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 1.0)  # long before 2000 epochs end
+n_started = len(started)
+try:
+    harness.run_experiment(config("interrupted", max_epochs=2000, patience=1999), jobs=2)
+except KeyboardInterrupt:
+    print("interrupted after starting", len(started) - n_started)
+assert_no_child_left("an interrupt")
+""", toy_root, tmp_path)
+    lines = out.splitlines()
+    assert lines[0].startswith("raised: seed 1: ValueError: ")
+    assert "expected a cnn_base checkpoint for 2 classes, found qnn_basic for 2" in lines[0]
+    assert lines[1] == "interrupted after starting 2"
+
+
+def test_jobs_must_be_positive(toy_root, tmp_path):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_experiment(_tiny_config(toy_root, tmp_path), jobs=0)
+
+
+def test_no_package_source_imports_a_process_pool():
+    """Their spawn and forkserver helper processes can outlive the sweep."""
+    package = Path(harness.__file__).parent
+    pool = re.compile(r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent)\b", re.M)
+    offenders = [p.name for p in sorted(package.rglob("*.py")) if pool.search(p.read_text())]
+    assert offenders == []
+
+
+# ---------------------------------------------------------------------------
 # Report plumbing
 
 
