@@ -25,12 +25,12 @@ def main() -> int:
     cfg = ExperimentConfig(
         data_root=str(data_root),
         output_dir=str(args.workdir / "results"),
-        cache_dir=str(args.workdir / "cache"),
         models=("cnn_base", "qnn_basic"),
         depths=(1,),
         n_seeds=args.seeds,
         lr=1e-3,  # the toy task converges far faster than a speech corpus
         max_epochs=args.max_epochs,
+        patience=min(30, args.max_epochs - 1),  # patience must stay below max_epochs
     )
     t0 = time.time()
     result = run_experiment(cfg)

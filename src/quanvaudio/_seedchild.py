@@ -29,7 +29,6 @@ def main(job_json: str) -> int:
         result = harness._run_seed(
             cfg, job["seed_idx"],
             harness.load_manifest(cfg.data_root, cfg.manifest_csv),
-            harness.FeaturePipeline(harness.FeatureCache(cfg.cache_dir)),
             evaluate_corrupted=job["evaluate_corrupted"],
             reuse_checkpoints=job["reuse_checkpoints"],
             models_filter=job["models_filter"],

@@ -83,7 +83,7 @@ class LogMelGram:
 
     @staticmethod
     def load(path: str | Path) -> "LogMelGram":
-        vals = load_tensor(path, expect_layout="HW")
+        vals, _ = load_tensor(path, expect_layout="HW")
         return LogMelGram(vals, (float(vals.min()), float(vals.max())))
 
 

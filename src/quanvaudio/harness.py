@@ -1,5 +1,5 @@
 """Experiment orchestration: manifests, stratified splits, seeded
-clean-train/corrupted-test sweeps, caching, and CSV reporting.
+clean-train/corrupted-test sweeps, and CSV reporting.
 
 Corruption is applied only to the held-out test split; training and
 validation always see clean audio. All randomness is derived from the
@@ -16,8 +16,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
-import warnings
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,23 +26,16 @@ import yaml
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
 from . import nn as nnmod
-from .audio import HOP, N_FFT, N_MELS, Waveform, load_wav, log_mel
+from .audio import load_wav, log_mel
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
 from .quanv import filter_terms, quanv_forward
-from .tensorio import load_tensor, save_tensor
 
 log = logging.getLogger(__name__)
 
-CACHE_ENV_VAR = "QUANVAUDIO_CACHE_DIR"
 DEFAULT_DEPTHS = (1, 4, 10, 15, 20, 25, 30, 50)
 DEFAULT_RATIOS = (0.65, 0.15, 0.20)
 BASELINE_MODEL = "cnn_base"
-# Part of every feature cache key. Bump it whenever a cached gram or
-# feature map can change value, so entries written by older code miss.
-# 2: quanvolution through the folded per-channel observable.
-# 3: log-Mel projection summed over each filter's band, without BLAS.
-FEATURE_VERSION = 3
 
 
 class ManifestError(ValueError):
@@ -197,7 +188,7 @@ class ExperimentConfig:
     data_root: str
     output_dir: str
     manifest_csv: str | None = None
-    cache_dir: str | None = None
+    cache_dir: str | None = None  # ignored: grams are not cached; run_experiment warns
     models: tuple[str, ...] = ("cnn_base", "qnn_basic")
     depths: tuple[int, ...] = DEFAULT_DEPTHS
     corruptions: tuple[str, ...] = tuple(k.value for k in CorruptionKind)
@@ -300,52 +291,6 @@ def model_instances(cfg: ExperimentConfig) -> list[ModelInstance]:
     return out
 
 
-class FeatureCache:
-    """Content-addressed cache of f64 tensors; corrupt entries recompute."""
-
-    def __init__(self, cache_dir: str | Path | None):
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV_VAR)
-        self.dir = Path(cache_dir) if cache_dir else None
-        if self.dir:
-            self.dir.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def key(stage: str, payload: dict) -> str:
-        blob = json.dumps(
-            {
-                "stage": stage,
-                "version": FEATURE_VERSION,
-                "front_end": {"n_fft": N_FFT, "hop": HOP, "n_mels": N_MELS},
-                **payload,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def get_or_compute(self, key: str, compute) -> np.ndarray:
-        if self.dir is None:
-            return compute()
-        path = self.dir / f"{key}.t64"
-        if path.exists():
-            try:
-                return load_tensor(path)
-            except Exception as exc:  # corrupt cache entry
-                warnings.warn(f"cache entry {path} unreadable ({exc}); recomputing")
-        arr = np.asarray(compute(), dtype=np.float64)
-        # a temp file of its own, so concurrent writers of one key never
-        # share a name; the last os.replace wins with a whole file
-        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=self.dir)
-        os.close(fd)
-        try:
-            save_tensor(tmp, arr, layout="raw")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        return arr
-
-
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -354,39 +299,14 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-class FeaturePipeline:
-    """Waveform -> log-Mel gram, clean or corrupted, through the cache."""
+def clean_gram(path: str) -> np.ndarray:
+    """The log-Mel gram of the WAV file at ``path``."""
+    return log_mel(load_wav(path)).values
 
-    def __init__(self, cache: FeatureCache):
-        self.cache = cache
-        self._file_hashes: dict[str, str] = {}
 
-    def file_hash(self, path: str) -> str:
-        if path not in self._file_hashes:
-            self._file_hashes[path] = file_sha256(path)
-        return self._file_hashes[path]
-
-    def _gram_of(self, w: Waveform) -> np.ndarray:
-        return log_mel(w).values
-
-    def clean_gram(self, path: str) -> np.ndarray:
-        key = self.cache.key("featurize", {"file": self.file_hash(path), "front": "gram"})
-        return self.cache.get_or_compute(key, lambda: self._gram_of(load_wav(path)))
-
-    def corrupted_gram(self, path: str, spec: CorruptionSpec) -> np.ndarray:
-        key = self.cache.key(
-            "corrupt",
-            {
-                "file": self.file_hash(path),
-                "kind": spec.kind.value,
-                "severity": spec.severity_index,
-                "seed": spec.seed,
-                "front": "gram",
-            },
-        )
-        return self.cache.get_or_compute(
-            key, lambda: self._gram_of(corruptmod.apply(spec, load_wav(path)))
-        )
+def corrupted_gram(path: str, spec: CorruptionSpec) -> np.ndarray:
+    """The log-Mel gram of the WAV file at ``path`` under corruption ``spec``."""
+    return log_mel(corruptmod.apply(spec, load_wav(path))).values
 
 
 def _features(grams: list[np.ndarray], circuit: CircuitSpec | None) -> np.ndarray:
@@ -459,6 +379,8 @@ def run_experiment(
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cfg.cache_dir is not None:
+        log.warning("cache_dir %r is ignored: grams are computed in memory", cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion").mkdir(exist_ok=True)
@@ -478,8 +400,7 @@ def run_experiment(
     if workers > 1:
         seeds = _run_seeds_in_children(cfg, workers, opts)
     else:
-        pipeline = FeaturePipeline(FeatureCache(cfg.cache_dir))
-        seeds = [_run_seed(cfg, seed_idx, manifest, pipeline, **opts)
+        seeds = [_run_seed(cfg, seed_idx, manifest, **opts)
                  for seed_idx in range(cfg.n_seeds)]
 
     result = SweepResult(out_dir)
@@ -521,7 +442,6 @@ def _run_seed(
     cfg: ExperimentConfig,
     seed_idx: int,
     manifest: DatasetManifest,
-    pipeline: FeaturePipeline,
     *,
     evaluate_corrupted: bool,
     reuse_checkpoints: bool,
@@ -555,7 +475,8 @@ def _run_seed(
             f"e.g. {sorted(leaked)[:3]}"
         )
 
-    grams = {r.path: pipeline.clean_gram(r.path) for r in train_rows + val_rows + test_rows}
+    grams = {r.path: clean_gram(r.path) for r in train_rows + val_rows + test_rows}
+    test_hashes = {r.path: file_sha256(r.path) for r in test_rows}
     labels = {
         name: np.array([manifest.label_index(r) for r in rows])
         for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
@@ -608,10 +529,9 @@ def _run_seed(
         cell = f"{kind_name}/{sev}"
         try:
             test_grams = [
-                grams[r.path] if kind is None else pipeline.corrupted_gram(
+                grams[r.path] if kind is None else corrupted_gram(
                     r.path,
-                    corruption_spec(cfg.master_seed, seed_idx, kind, sev,
-                                    pipeline.file_hash(r.path)),
+                    corruption_spec(cfg.master_seed, seed_idx, kind, sev, test_hashes[r.path]),
                 )
                 for r in test_rows
             ]
@@ -641,8 +561,7 @@ def _run_seed(
                 out_dir / "confusion"
                 / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
                 [str(i) for i in range(manifest.n_classes)],
-                metricsmod.confusion(preds, labels["test"], manifest.n_classes)
-                .counts.tolist(),
+                metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist(),
             )
     return result
 

@@ -3,7 +3,7 @@ corruption-error metrics (CE, mCE, RCE, RmCE)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,24 +114,8 @@ def robustness_report(model: AccuracyGrid, base: AccuracyGrid) -> RobustnessRepo
     )
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray = field(repr=False)  # rows true, columns predicted
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts) / self.counts.sum())
-
-    def per_class_accuracy(self) -> np.ndarray:
-        totals = self.counts.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            return np.where(totals > 0, np.diag(self.counts) / totals, np.nan)
-
-
-def confusion(preds, labels, n_classes: int) -> ConfusionMatrix:
+def confusion(preds, labels, n_classes: int) -> np.ndarray:
+    """int64 counts, rows true class, columns predicted class."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -141,7 +125,7 @@ def confusion(preds, labels, n_classes: int) -> ConfusionMatrix:
         raise ValueError(f"labels/predictions out of range for {n_classes} classes")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 @dataclass(frozen=True)

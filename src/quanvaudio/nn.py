@@ -8,12 +8,13 @@ identical shapes. Everything is float64 and deterministic per seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .tensorio import load_tensor, save_tensor
 
 
 class TrainingDiverged(RuntimeError):
@@ -451,27 +452,21 @@ def train(
 
 def save_checkpoint(path: str | Path, kind: str, n_classes: int,
                     params: dict[str, np.ndarray]) -> None:
+    """The parameters, sorted by name, as one flat ``tensorio`` vector."""
     names = sorted(params)
-    header = {
-        "arch": kind,
-        "n_classes": n_classes,
-        "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n], dtype=np.float64).tobytes())
+    save_tensor(
+        path, np.concatenate([np.ravel(params[n]) for n in names]), layout="params",
+        arch=kind, n_classes=n_classes,
+        params=[{"name": n, "shape": list(params[n].shape)} for n in names],
+    )
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, int, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise IOError(f"truncated checkpoint {path}")
-            params[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+    flat, header = load_tensor(path, expect_layout="params")
+    shapes = {e["name"]: tuple(e["shape"]) for e in header["params"]}
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes.values()])
+    if ends[-1] != flat.size:
+        raise IOError(f"{path}: parameter shapes need {ends[-1]} values, found {flat.size}")
+    chunks = np.split(flat, ends[:-1])
+    params = {name: chunk.reshape(shape) for (name, shape), chunk in zip(shapes.items(), chunks)}
     return header["arch"], header["n_classes"], params

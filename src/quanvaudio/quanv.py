@@ -64,7 +64,7 @@ class FeatureMap:
 
     @staticmethod
     def load(path: str | Path) -> "FeatureMap":
-        return FeatureMap(load_tensor(path, expect_layout="CHW"))
+        return FeatureMap(load_tensor(path, expect_layout="CHW")[0])
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:

@@ -294,7 +294,6 @@ def test_end_to_end_desk_scale(e2e_workdir):
         cfg = ExperimentConfig(
             data_root=str(e2e_workdir / "data"),
             output_dir=str(e2e_workdir / "results"),
-            cache_dir=str(e2e_workdir / "cache"),
             models=("cnn_base", "qnn_basic"),
             depths=(1,),
             n_seeds=1,
@@ -333,7 +332,6 @@ def test_sweep_reproducibility(e2e_workdir, tmp_path_factory):
             cfg = ExperimentConfig(
                 data_root=str(e2e_workdir / "data"),
                 output_dir=str(out),
-                cache_dir=str(out / "cache") if run == 0 else None,  # cache must not matter
                 models=("cnn_base", "qnn_basic"),
                 depths=(1,),
                 corruptions=("gaussian_noise", "speed_variation"),

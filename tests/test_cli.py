@@ -89,7 +89,6 @@ def cli_config(toy_root, tmp_path_factory):
     cfg = ExperimentConfig(
         data_root=str(toy_root),
         output_dir=str(workdir / "results"),
-        cache_dir=str(workdir / "cache"),
         models=("cnn_base", "qnn_basic"),
         depths=(1,),  # every corruption kind and severity, so reports are complete
         n_seeds=1,

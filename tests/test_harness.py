@@ -1,5 +1,5 @@
 """Experiment harness: manifests, stratified splits, seed derivation,
-the feature cache, config round-trips, and a miniature sweep."""
+config round-trips, and a miniature sweep."""
 
 import csv
 import json
@@ -19,8 +19,6 @@ from quanvaudio.corrupt import CorruptionKind
 from quanvaudio.harness import (
     DatasetManifest,
     ExperimentConfig,
-    FeatureCache,
-    FeaturePipeline,
     ManifestError,
     ManifestRow,
     derive_seed,
@@ -84,117 +82,13 @@ def test_split_bad_ratios():
 
 
 # ---------------------------------------------------------------------------
-# Seeds & cache
+# Seeds
 
 
 def test_derive_seed_deterministic_and_tag_sensitive():
     assert derive_seed(0, "x") == derive_seed(0, "x")
     assert derive_seed(0, "x") != derive_seed(0, "y")
     assert derive_seed(0, "x") != derive_seed(1, "x")
-
-
-def test_cache_key_sensitivity():
-    key = FeatureCache.key("corrupt", {"file": "abc", "severity": 3})
-    assert key == FeatureCache.key("corrupt", {"severity": 3, "file": "abc"})
-    assert key != FeatureCache.key("corrupt", {"file": "abc", "severity": 4})
-    assert key != FeatureCache.key("featurize", {"file": "abc", "severity": 3})
-
-
-def test_cache_hit_skips_recompute(tmp_path):
-    cache = FeatureCache(tmp_path)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return np.arange(6.0).reshape(2, 3)
-
-    a = cache.get_or_compute("k1", compute)
-    b = cache.get_or_compute("k1", compute)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(a, b)
-
-
-def test_cache_corrupt_entry_recomputed(tmp_path):
-    cache = FeatureCache(tmp_path)
-    cache.get_or_compute("k2", lambda: np.ones((2, 2)))
-    (tmp_path / "k2.t64").write_bytes(b"garbage")
-    with pytest.warns(UserWarning, match="recomputing"):
-        out = cache.get_or_compute("k2", lambda: np.ones((2, 2)))
-    np.testing.assert_array_equal(out, np.ones((2, 2)))
-
-
-def test_cache_write_does_not_collide_with_another_writers_temp_file(tmp_path):
-    # a directory at <key>.tmp stands in for the temp file of another run
-    # writing the same key into a shared cache
-    (tmp_path / "k3.tmp").mkdir()
-    cache = FeatureCache(tmp_path)
-    out = cache.get_or_compute("k3", lambda: np.full((2, 2), 7.0))
-    np.testing.assert_array_equal(out, np.full((2, 2), 7.0))
-    np.testing.assert_array_equal(harness.load_tensor(tmp_path / "k3.t64"), out)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k3.t64", "k3.tmp"]
-
-
-def test_cache_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
-    def broken_save(path, array, layout):
-        Path(path).write_bytes(b"torn")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(harness, "save_tensor", broken_save)
-    with pytest.raises(OSError, match="disk full"):
-        FeatureCache(tmp_path).get_or_compute("k4", lambda: np.zeros(2))
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cache_disabled_passthrough(monkeypatch):
-    monkeypatch.delenv(harness.CACHE_ENV_VAR, raising=False)
-    cache = FeatureCache(None)
-    calls = []
-    cache.get_or_compute("k", lambda: calls.append(1) or np.zeros(2))
-    cache.get_or_compute("k", lambda: calls.append(1) or np.zeros(2))
-    assert len(calls) == 2
-
-
-def test_cache_entry_of_older_feature_version_misses(tmp_path, toy_root, monkeypatch):
-    wav = str(next(toy_root.rglob("*.wav")))
-    monkeypatch.setattr(harness, "FEATURE_VERSION", harness.FEATURE_VERSION - 1)
-    FeaturePipeline(FeatureCache(tmp_path)).clean_gram(wav)
-    old_entries = set(tmp_path.iterdir())
-    assert len(old_entries) == 1
-    monkeypatch.undo()
-
-    pipeline = FeaturePipeline(FeatureCache(tmp_path))
-    calls = []
-    orig = pipeline._gram_of
-    monkeypatch.setattr(pipeline, "_gram_of", lambda w: calls.append(1) or orig(w))
-    gram = pipeline.clean_gram(wav)
-    assert len(calls) == 1  # the old entry is not served
-    new_entries = set(tmp_path.iterdir()) - old_entries
-    assert len(new_entries) == 1  # the recomputed gram is stored under the new key
-    pipeline.clean_gram(wav)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(harness.load_tensor(new_entries.pop()), gram)
-
-
-def test_gram_cached_under_feature_version_2_misses(tmp_path, toy_root, monkeypatch):
-    # grams of version 2 were projected by BLAS and depend on its thread count
-    wav = str(next(toy_root.rglob("*.wav")))
-    pipeline = FeaturePipeline(FeatureCache(tmp_path))
-    with monkeypatch.context() as patched:
-        patched.setattr(harness, "FEATURE_VERSION", 2)
-        old_key = FeatureCache.key("featurize", {"file": pipeline.file_hash(wav), "front": "gram"})
-    harness.save_tensor(tmp_path / f"{old_key}.t64", np.full((40, 128), 0.5), layout="raw")
-
-    gram = pipeline.clean_gram(wav)
-    np.testing.assert_array_equal(gram, harness.log_mel(harness.load_wav(wav)).values)
-
-
-def test_cache_key_names_version_and_front_end(monkeypatch):
-    key = FeatureCache.key("featurize", {"file": "f"})
-    for name, value in (("FEATURE_VERSION", 99), ("N_MELS", 64), ("HOP", 64),
-                        ("N_FFT", 1024)):
-        with monkeypatch.context() as patched:
-            patched.setattr(harness, name, value)
-            assert FeatureCache.key("featurize", {"file": "f"}) != key, name
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +205,6 @@ def mini_result(toy_root, tmp_path_factory):
     cfg = ExperimentConfig(
         data_root=str(toy_root),
         output_dir=str(out),
-        cache_dir=str(tmp_path_factory.mktemp("mini_cache")),
         models=("cnn_base", "qnn_basic"),
         depths=(1,),
         corruptions=("gaussian_noise", "temporal_shift"),
@@ -433,11 +326,11 @@ def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
             raise nn.TrainingDiverged("loss is nan")
         return real_train(model, train_x, *args)
 
-    def no_audio(self, path, spec):
+    def no_audio(path, spec):
         raise FileNotFoundError(path)
 
     monkeypatch.setattr(harness.nnmod, "train", diverge_quanv)
-    monkeypatch.setattr(FeaturePipeline, "corrupted_gram", no_audio)
+    monkeypatch.setattr(harness, "corrupted_gram", no_audio)
     cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"))
     result = run_experiment(cfg)
     with open(result.out_dir / "failures.csv", newline="") as fh:
@@ -452,7 +345,7 @@ def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
 
 def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
     """Cell-major loop: each (seed, cell, test file) is corrupted and
-    log-Mel'd once and scored by every model; only grams are cached."""
+    log-Mel'd once and scored by every model."""
     counts = {"apply": 0, "quanv": 0}
     real_apply, real_quanv = harness.corruptmod.apply, harness.quanv_forward
 
@@ -471,16 +364,21 @@ def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
     two_cells = dict(models=("cnn_base", "qnn_basic"),
                      corruptions=("gaussian_noise", "temporal_shift"))
 
-    result = run_experiment(_tiny_config(toy_root, tmp_path / "plain", **two_cells))
+    result = run_experiment(_tiny_config(toy_root, tmp_path, **two_cells))
     assert not result.failures and len(result.accuracy_rows) == 2 * (1 + 2)
     assert counts == {"apply": 2 * n_test, "quanv": n_all + 2 * n_test}
 
+
+def test_cache_dir_is_ignored_with_a_warning(toy_root, tmp_path, caplog):
     cache_dir = tmp_path / "cache"
-    run_experiment(_tiny_config(toy_root, tmp_path / "cached", cache_dir=str(cache_dir),
-                                **two_cells))
-    entries = list(cache_dir.iterdir())
-    assert len(entries) == n_all + 2 * n_test
-    assert all(harness.load_tensor(e).shape == (40, 128) for e in entries)
+    cfg = _tiny_config(toy_root, tmp_path / "out", cache_dir=str(cache_dir))
+    with caplog.at_level("WARNING", logger=harness.__name__):
+        result = run_experiment(cfg)
+    assert not result.failures
+    assert [r.getMessage() for r in caplog.records if r.name == harness.__name__] == [
+        f"cache_dir {str(cache_dir)!r} is ignored: grams are computed in memory"
+    ]
+    assert not cache_dir.exists()
 
 
 def test_models_filter_unknown(mini_result):
@@ -542,7 +440,7 @@ def test_seeds_in_children_write_the_in_process_tree(toy_root, tmp_path):
     child processes writes the same bytes as one that runs them in turn."""
     out = _run_sweep_script("""
 for jobs in (1, 2):
-    harness.run_experiment(config(f"jobs{jobs}", cache_dir=str(root / f"cache{jobs}")), jobs=jobs)
+    harness.run_experiment(config(f"jobs{jobs}"), jobs=jobs)
     assert_no_child_left(f"a jobs={jobs} sweep")
     print(f"jobs={jobs} started {len(started)}")
 """, toy_root, tmp_path)

@@ -196,26 +196,25 @@ def test_flat_baseline_leaves_rce_undefined_only():
 
 def test_confusion_perfect_is_diagonal():
     labels = np.array([0, 1, 2, 1, 0])
-    cm = confusion(labels, labels, 3)
-    np.testing.assert_array_equal(cm.counts, np.diag([2, 2, 1]))
-    assert cm.accuracy() == 1.0
+    counts = confusion(labels, labels, 3)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, np.diag([2, 2, 1]))
 
 
 def test_confusion_single_column():
     labels = np.array([0, 1, 2])
-    cm = confusion(np.zeros(3, dtype=int), labels, 3)
-    assert cm.counts[:, 0].sum() == 3
-    assert cm.counts[:, 1:].sum() == 0
+    counts = confusion(np.zeros(3, dtype=int), labels, 3)
+    assert counts[:, 0].sum() == 3
+    assert counts[:, 1:].sum() == 0
 
 
 def test_confusion_trace_equals_accuracy():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, 100)
     preds = rng.integers(0, 4, 100)
-    cm = confusion(preds, labels, 4)
-    assert abs(cm.accuracy() - np.mean(preds == labels)) < 1e-15
-    pca = cm.per_class_accuracy()
-    assert pca.shape == (4,)
+    counts = confusion(preds, labels, 4)
+    assert np.trace(counts) == np.sum(preds == labels)
+    np.testing.assert_array_equal(counts.sum(axis=1), np.bincount(labels, minlength=4))
 
 
 def test_confusion_validation():

@@ -2,6 +2,8 @@
 golden values, exact oracles for the fast layer paths, Adam scalar
 reference, shape chain, and training loop."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quanvaudio import nn
+from quanvaudio.audio import LogMelGram
 from quanvaudio.nn import (
     Adam,
     Conv2d,
@@ -623,3 +626,36 @@ def test_truncated_checkpoint(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IOError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("resize", ["truncated", "over_long"])
+def test_tensor_file_of_wrong_length_names_the_file(tmp_path, resize):
+    ckpt, gram = tmp_path / "ckpt.bin", tmp_path / "g.gram"
+    save_checkpoint(ckpt, "cnn_base", 2, build_model("cnn_base", 2, seed=26).get_params())
+    LogMelGram(RNG(27).uniform(0, 1, (40, 128))).save(gram)
+    for path, load in ((ckpt, load_checkpoint), (gram, LogMelGram.load)):
+        data = path.read_bytes()
+        path.write_bytes(data[:-8] if resize == "truncated" else data + bytes(8))
+        with pytest.raises(IOError, match=re.escape(str(path))):
+            load(path)
+
+
+def test_gram_is_not_a_checkpoint(tmp_path):
+    path = tmp_path / "g.gram"
+    LogMelGram(RNG(28).uniform(0, 1, (40, 128))).save(path)
+    with pytest.raises(ValueError, match="expected layout params, found HW"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_then_sorted_params(tmp_path):
+    params = build_model("cnn_base", 2, seed=29).get_params()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, "cnn_base", 2, params)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    names = sorted(params)
+    assert json.loads(header) == {
+        "dims": [sum(params[n].size for n in names)], "dtype": "f64", "layout": "params",
+        "arch": "cnn_base", "n_classes": 2,
+        "params": [{"name": n, "shape": list(params[n].shape)} for n in names],
+    }
+    assert payload == b"".join(params[n].astype("<f8").tobytes() for n in names)
