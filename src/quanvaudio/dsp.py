@@ -71,6 +71,9 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     n_bins, n_frames = spec.shape
 
     steps = np.arange(0.0, n_frames, rate)
+    # arange's length is rounded up, so the last step can land on n_frames
+    # itself (30 * 0.7 == 21.0); frame i + 1 must stay within the pad column
+    steps = steps[steps < n_frames]
     spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
     omega = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
 
