@@ -71,12 +71,11 @@ def cmd_corrupt(args) -> int:
             args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
         )
         w = load_wav(wav_path)
+        value = corruptmod.draw(spec, w)
         out_path = out_dir / rel
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_wav(out_path, corruptmod.apply(spec, w))
-        sidecar_rows.append(
-            [str(rel), kind.value, spec.severity_value, corruptmod.draw(spec, w)]
-        )
+        write_wav(out_path, corruptmod.apply_drawn(spec, w, value))
+        sidecar_rows.append([str(rel), kind.value, spec.severity_value, value])
     with open(out_dir / "corruption_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file", "kind", "severity_value", "drawn_parameter"])

@@ -145,7 +145,12 @@ def speed_by(w: Waveform, rate: float) -> Waveform:
 
 
 def apply(spec: CorruptionSpec, w: Waveform) -> Waveform:
-    value = draw(spec, w)
+    return apply_drawn(spec, w, draw(spec, w))
+
+
+def apply_drawn(spec: CorruptionSpec, w: Waveform, value: float) -> Waveform:
+    """Corrupt ``w`` as ``spec`` says, with the parameter ``value`` that
+    ``draw(spec, w)`` gave; a caller that logs the draw applies it here."""
     if spec.kind == CorruptionKind.GAUSSIAN_NOISE:
         return gaussian_noise(w, value, spec.seed)
     if spec.kind == CorruptionKind.PITCH_SHIFT:

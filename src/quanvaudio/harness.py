@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
@@ -242,6 +241,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_yaml(path: str | Path) -> "ExperimentConfig":
+        # here, not at the top: seed children and most CLI commands touch no YAML
+        import yaml
+
         with open(path) as fh:
             return ExperimentConfig.from_dict(yaml.safe_load(fh))
 
@@ -255,6 +257,8 @@ class ExperimentConfig:
         return ExperimentConfig(**doc)
 
     def to_yaml(self, path: str | Path) -> None:
+        import yaml
+
         doc = asdict(self)
         for key, val in doc.items():
             if isinstance(val, tuple):
@@ -369,13 +373,14 @@ def run_experiment(
     checkpoints, histories and confusion files. Seeds are independent, so
     when more than one would run at once -- ``jobs`` of them (by default
     the usable cores), never more than ``cfg.n_seeds`` -- each seed runs
-    in a child interpreter on one BLAS thread, and a seed that aborts
-    raises ``SeedFailed``. ``jobs=1``, one seed or one core run the seeds
-    in this process one after the other. Either way this process then
-    writes ``accuracy.csv``, the reports and ``failures.csv``. A failed
-    training run or cell is recorded and the sweep goes on. With
-    ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
-    retraining; ``models_filter`` restricts to the listed model ids.
+    in a child interpreter on one BLAS thread that keeps its freed heap
+    (``_child_env``), and a seed that aborts raises ``SeedFailed``.
+    ``jobs=1``, one seed or one core run the seeds in this process one
+    after the other. Either way this process then writes ``accuracy.csv``,
+    the reports and ``failures.csv``. A failed training run or cell is
+    recorded and the sweep goes on. With ``reuse_checkpoints`` an existing
+    checkpoint file is loaded instead of retraining; ``models_filter``
+    restricts to the listed model ids.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -580,6 +585,20 @@ def _usable_cores() -> int:
 # numpy's BLAS reads these when it is imported; one thread per child keeps
 # each child on one core and its results equal to a one-thread in-process run
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# glibc keeps this much freed memory at the top of the heap instead of
+# returning it to the kernel, so a training step reuses the pages of the
+# step before it rather than faulting in zeroed ones; other libcs ignore it.
+# The caller's own process keeps its allocator as it is.
+_KEEP_FREED_HEAP = {"MALLOC_TOP_PAD_": str(64 << 20)}
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a seed child: this process's, with one BLAS
+    thread, the heap kept, and this package first on the import path."""
+    package_parent = str(Path(__file__).resolve().parent.parent)
+    env = dict(os.environ, **_ONE_BLAS_THREAD, **_KEEP_FREED_HEAP)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    return env
 
 
 def _run_seeds_in_children(cfg: ExperimentConfig, workers: int, opts: dict) -> list[SweepResult]:
@@ -595,9 +614,7 @@ def _run_seeds_in_children(cfg: ExperimentConfig, workers: int, opts: dict) -> l
     import selectors
     import subprocess
 
-    package_parent = str(Path(__file__).resolve().parent.parent)
-    env = dict(os.environ, **_ONE_BLAS_THREAD)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    env = _child_env()
     job = {"config": asdict(cfg), "log_level": log.getEffectiveLevel(), **opts}
     pending = list(range(cfg.n_seeds))
     running: dict[int, tuple[int, subprocess.Popen, list[bytes]]] = {}  # by stdout fd

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quanvaudio.audio import LogMelGram
+from quanvaudio.audio import LogMelGram, load_wav, write_wav
 from quanvaudio.cli import main
-from quanvaudio.corrupt import CorruptionKind
+from quanvaudio.corrupt import SEVERITY_TABLE, CorruptionKind, speed_by
 from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig
 from quanvaudio.quanv import FeatureMap
 
@@ -79,8 +79,27 @@ def test_corrupt_severity_zero_copies_input(toy_root, tmp_path):
     src = sorted((toy_root / "low").glob("*.wav"))[0]
     dst = sorted(out.glob("*.wav"))[0]
     # identical PCM payload (headers may differ in metadata ordering)
-    from quanvaudio.audio import load_wav
     np.testing.assert_array_equal(load_wav(src).samples, load_wav(dst).samples)
+
+
+def test_corrupt_applies_and_logs_one_draw(toy_root, tmp_path, caplog, monkeypatch):
+    # sigma_s = 10, so about half the files draw a speed ratio outside
+    # 0.25..4 and are clamped; each clamp is drawn, and warned of, once
+    monkeypatch.setitem(SEVERITY_TABLE, CorruptionKind.SPEED_VARIATION, (10.0,) * 6)
+    out = tmp_path / "corrupted"
+    with caplog.at_level("WARNING"):
+        assert main(["corrupt", "--kind", "speed_variation", "--severity", "6",
+                     "--seed", "3", "--in", str(toy_root / "low"), "--out", str(out)]) == 0
+    with open(out / "corruption_log.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    clamped = [r["file"] for r in rows if float(r["drawn_parameter"]) in (0.25, 4.0)]
+    warned = [r for r in caplog.records if "clamped" in r.getMessage()]
+    assert 0 < len(clamped) < len(rows) == 12
+    assert len(warned) == len(clamped)
+    for row in rows:
+        src = load_wav(toy_root / "low" / row["file"])
+        write_wav(tmp_path / "expected.wav", speed_by(src, float(row["drawn_parameter"])))
+        assert (out / row["file"]).read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
-"""The package's start-up path: no quanvaudio module imports SciPy.
+"""The package's start-up path: no quanvaudio module imports SciPy, and
+importing the CLI, the harness or a seed child loads no YAML parser.
 
 Importing scipy.signal and scipy.io costs every process well over a second
-and about 70 MB; SciPy stays a test-only oracle."""
+and about 70 MB; SciPy stays a test-only oracle. ``yaml`` costs about 20 ms,
+which every seed child would pay without reading any YAML."""
 
 import os
 import subprocess
@@ -32,6 +34,17 @@ def test_package_runs_without_importing_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     out = subprocess.run(
         [sys.executable, "-c", _PROBE, str(tmp_path / "shifted.wav")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_start_up_imports_no_yaml():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quanvaudio.cli, quanvaudio.harness, quanvaudio._seedchild; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml')))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]", out.stdout
