@@ -207,6 +207,17 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(length) / length))
 
 
+def stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
+    """Complex STFT (1 + n_fft//2, frames) of ``window``-weighted frames every
+    ``hop`` samples, centered by padding a nonempty ``x`` by n_fft//2 at each
+    end (so it holds a frame): reflected, or zeros when it is too short."""
+    pad = n_fft // 2
+    mode = "reflect" if x.shape[0] > pad else "constant"
+    x = np.pad(x, pad, mode=mode)
+    frames = sliding_window_view(x, n_fft)[::hop]
+    return np.fft.rfft(frames * window, axis=1).T
+
+
 def stft_power(
     w: Waveform,
     n_fft: int = N_FFT,
@@ -223,16 +234,7 @@ def stft_power(
     window = np.zeros(n_fft)
     offset = (n_fft - win_length) // 2
     window[offset : offset + win_length] = hann_window(win_length)
-
-    x = w.samples
-    pad = n_fft // 2
-    mode = "reflect" if x.shape[0] > pad else "constant"
-    x = np.pad(x, pad, mode=mode)
-    if x.shape[0] < n_fft:
-        x = np.pad(x, (0, n_fft - x.shape[0]))
-    frames = sliding_window_view(x, n_fft)[::hop]
-    spec = np.fft.rfft(frames * window, axis=1)
-    return (np.abs(spec) ** 2).T
+    return np.abs(stft(w.samples, n_fft, hop, window)) ** 2
 
 
 def _hz_to_mel(f):

@@ -17,8 +17,8 @@ from . import corrupt as corruptmod
 from . import harness
 from .audio import load_wav, log_mel, write_wav
 from .corrupt import CorruptionKind
-from .qsim import build_circuit
-from .quanv import quanv_forward
+from .qsim import Template, build_circuit
+from .quanv import PATCH_QUBITS, quanv_forward
 
 
 def _iter_wavs(in_dir: Path, manifest: Path | None):
@@ -43,7 +43,7 @@ def cmd_featurize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     circuit = None
     if args.template:
-        circuit = build_circuit(args.template, 4, args.depth, args.circuit_seed)
+        circuit = build_circuit(args.template, PATCH_QUBITS, args.depth, args.circuit_seed)
     suffix = ".gram" if circuit is None else ".fmap"
     # A manifest path outside --in is named by its basename, so two of them
     # can map to one output; refuse before writing anything.
@@ -65,7 +65,7 @@ def cmd_corrupt(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = CorruptionKind(args.kind)
     sidecar_rows = []
-    for wav_path in sorted(in_dir.rglob("*.wav")):
+    for wav_path in _iter_wavs(in_dir, None):
         rel = wav_path.relative_to(in_dir)
         spec = harness.corruption_spec(
             args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
@@ -76,10 +76,8 @@ def cmd_corrupt(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         write_wav(out_path, corruptmod.apply_drawn(spec, w, value))
         sidecar_rows.append([str(rel), kind.value, spec.severity_value, value])
-    with open(out_dir / "corruption_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "kind", "severity_value", "drawn_parameter"])
-        writer.writerows(sidecar_rows)
+    harness.write_csv(out_dir / "corruption_log.csv",
+                      ["file", "kind", "severity_value", "drawn_parameter"], sidecar_rows)
     return 0
 
 
@@ -132,14 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--manifest", type=Path, default=None)
-    p.add_argument("--template", choices=["BEQC", "SEQC", "RQC"], default=None)
+    p.add_argument("--template", choices=[t.value for t in Template], default=None)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--circuit-seed", type=int, default=1234)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("corrupt", help="write corrupted copies of a WAV tree")
     p.add_argument("--kind", required=True, choices=[k.value for k in CorruptionKind])
-    p.add_argument("--severity", type=int, required=True, choices=range(0, 7))
+    p.add_argument("--severity", type=int, required=True,
+                   choices=range(0, corruptmod.N_SEVERITIES + 1))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seed-index", type=_seed_index, default=0,
                    help="the sweep seed index whose corruption to reproduce")

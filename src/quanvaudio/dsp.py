@@ -1,8 +1,8 @@
 """Time-stretch and resampling primitives shared by the corruptions.
 
-The phase vocoder uses 75%-overlap Hann analysis/synthesis with phase
-accumulation. A rate of exactly 1.0 takes a fast path that returns the
-input untouched, so the clean severity level stays bit-exact.
+The phase vocoder uses 75%-overlap Hann analysis/synthesis (``audio.stft``)
+with phase accumulation. A rate of exactly 1.0 takes a fast path that
+returns the input untouched, so the clean severity level stays bit-exact.
 """
 
 from __future__ import annotations
@@ -13,18 +13,10 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .audio import hann_window, stft
+
 _VOCODER_NFFT = 1024
 _KAISER_BETA = 5.0
-
-
-def _frame_stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    pad = n_fft // 2
-    mode = "reflect" if x.shape[0] > pad else "constant"
-    x = np.pad(x, pad, mode=mode)
-    if x.shape[0] < n_fft:
-        x = np.pad(x, (0, n_fft - x.shape[0]))
-    frames = sliding_window_view(x, n_fft)[::hop]
-    return np.fft.rfft(frames * window, axis=1).T  # (bins, T)
 
 
 def _overlap_add(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
@@ -66,8 +58,8 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n_fft = _VOCODER_NFFT
     hop = n_fft // 4
-    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
-    spec = _frame_stft(x, n_fft, hop, window)
+    window = hann_window(n_fft)
+    spec = stft(x, n_fft, hop, window)
     n_bins, n_frames = spec.shape
 
     steps = np.arange(0.0, n_frames, rate)

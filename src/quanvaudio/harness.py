@@ -28,7 +28,7 @@ from . import nn as nnmod
 from .audio import load_wav, log_mel
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
-from .quanv import filter_terms, quanv_forward
+from .quanv import PATCH_QUBITS, filter_terms, quanv_forward
 
 log = logging.getLogger(__name__)
 
@@ -57,10 +57,6 @@ class DatasetManifest:
         if len(labels) < 2:
             raise ManifestError(f"need at least 2 classes, found {labels}")
         object.__setattr__(self, "_label_map", {lab: i for i, lab in enumerate(labels)})
-
-    @property
-    def label_map(self) -> dict[str, int]:
-        return dict(self._label_map)
 
     @property
     def n_classes(self) -> int:
@@ -327,7 +323,9 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Header then rows, each value through ``_fmt``; written to a temporary
+    file and renamed over ``path``, so a reader never sees half a file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -413,7 +411,7 @@ def run_experiment(
         result.accuracy_rows += seed.accuracy_rows
         result.failures += seed.failures
     result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
-    _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
+    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
     if evaluate_corrupted:
         write_reports(
             out_dir, grids_from_rows(result.accuracy_rows),
@@ -421,7 +419,7 @@ def run_experiment(
         )
     if result.failures:
         result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
-        _write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
+        write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
     return result
 
@@ -437,7 +435,7 @@ def _instances(cfg: ExperimentConfig, models_filter: list[str] | None) -> list[M
 
 def _circuits(cfg: ExperimentConfig, instances: list[ModelInstance]) -> dict[str, CircuitSpec]:
     return {
-        inst.model_id: build_circuit(inst.template, 4, inst.depth, cfg.circuit_seed)
+        inst.model_id: build_circuit(inst.template, PATCH_QUBITS, inst.depth, cfg.circuit_seed)
         for inst in instances
         if inst.kind != BASELINE_MODEL
     }
@@ -517,7 +515,7 @@ def _run_seed(
             except nnmod.TrainingDiverged as exc:
                 result.record_failure(f"train/{seed_idx}/{inst.model_id}", exc)
                 continue
-            _write_csv(
+            write_csv(
                 out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
                 ["epoch", "train_loss", "val_loss", "val_acc"],
                 [
@@ -562,7 +560,7 @@ def _run_seed(
             result.accuracy_rows.append(
                 [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
             )
-            _write_csv(
+            write_csv(
                 out_dir / "confusion"
                 / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
                 [str(i) for i in range(manifest.n_classes)],
@@ -689,7 +687,7 @@ def write_reports(
                 problems.append(f"seed {seed_idx}: {model_id} grid incomplete")
                 continue
             reports.append(metricsmod.robustness_report(grid, base))
-    _write_csv(
+    write_csv(
         out_dir / "report_per_seed.csv",
         ["seed", "model", "kind", "CE", "RCE"],
         [[r.seed, r.model_id, k.value, r.ce[k], r.rce[k]]
@@ -706,13 +704,13 @@ def write_reports(
             for cell in (agg[ce_key], agg[rce_key]):
                 row += [None, None] if cell is None else [cell.mean, cell.std]
             agg_rows.append(row)
-    _write_csv(
+    write_csv(
         out_dir / "report.csv",
         ["model", "kind", "CE_mean", "CE_std", "RCE_mean", "RCE_std"],
         agg_rows,
     )
     if problems:
-        _write_csv(out_dir / "report_problems.csv", ["problem"], [[p] for p in problems])
+        write_csv(out_dir / "report_problems.csv", ["problem"], [[p] for p in problems])
     return problems
 
 

@@ -55,9 +55,6 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
-
 
 class Conv2d(Layer):
     """Valid-padding cross-correlation."""
@@ -115,14 +112,6 @@ class Conv2d(Layer):
                 ].transpose(0, 3, 1, 2)
         return dx
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (
-            self.params["W"].shape[0],
-            (h - self.kernel) // self.stride + 1,
-            (w - self.kernel) // self.stride + 1,
-        )
-
 
 class ReLU(Layer):
     def forward(self, x):
@@ -132,9 +121,6 @@ class ReLU(Layer):
     def backward(self, dout):
         return np.where(self.cache, dout, 0.0)
 
-    def out_shape(self, in_shape):
-        return in_shape
-
 
 class Tanh(Layer):
     def forward(self, x):
@@ -143,9 +129,6 @@ class Tanh(Layer):
 
     def backward(self, dout):
         return dout * (1.0 - self.cache**2)
-
-    def out_shape(self, in_shape):
-        return in_shape
 
 
 class MaxPool(Layer):
@@ -188,10 +171,6 @@ class MaxPool(Layer):
             np.copyto(view, dout, where=first == p)
         return dx
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (c, h // self.k, w // self.k)
-
 
 class Flatten(Layer):
     def forward(self, x):
@@ -200,9 +179,6 @@ class Flatten(Layer):
 
     def backward(self, dout):
         return dout.reshape(self.cache)
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
 
 
 class Linear(Layer):
@@ -221,20 +197,27 @@ class Linear(Layer):
         self.grads["b"] = dout.sum(axis=0)
         return dout @ self.params["W"]
 
-    def out_shape(self, in_shape):
-        return (self.params["W"].shape[0],)
-
 
 class Network:
+    """A layer chain for inputs of shape ``(batch,) + in_shape``. ``shapes``
+    (input, then each layer's output, per sample) is read off one zero sample
+    pushed through the chain, so a chain that does not fit fails here."""
+
     def __init__(self, layers: list[Layer], in_shape: tuple[int, ...]):
         self.layers = layers
         self.in_shape = in_shape
-        # Fail fast if the layer chain is inconsistent.
-        shape = in_shape
-        self.shapes = [shape]
-        for layer in layers:
-            shape = layer.out_shape(shape)
-            self.shapes.append(shape)
+        x = np.zeros((1, *in_shape))
+        self.shapes = [x.shape[1:]]
+        for i, layer in enumerate(layers):
+            try:
+                x = layer.forward(x)
+            except ValueError as exc:
+                raise ValueError(
+                    f"layer {i} ({type(layer).__name__}) cannot take input of shape "
+                    f"{x.shape[1:]}: {exc}"
+                ) from exc
+            layer.cache = None
+            self.shapes.append(x.shape[1:])
 
     def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
         """Logits for a batch. With ``keep_cache=False`` (inference) each

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.signal import resample_poly
 from scipy.stats import kstest
 
-from quanvaudio import corrupt, dsp
+from quanvaudio import audio, corrupt, dsp
 from quanvaudio.audio import Waveform
 from quanvaudio.corrupt import (
     CLEAN_VALUE,
@@ -331,7 +331,7 @@ def _time_stretch_loop(x, rate, n_fft=1024):
     """The per-step phase vocoder, kept as the oracle of dsp.time_stretch."""
     hop = n_fft // 4
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
-    spec = dsp._frame_stft(x, n_fft, hop, window)
+    spec = audio.stft(x, n_fft, hop, window)
     n_bins, n_frames = spec.shape
     steps = np.arange(0.0, n_frames, rate)
     steps = steps[steps < n_frames]

@@ -76,10 +76,6 @@ class WindowMaxPool(Layer):
         )
         return dx
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return (c, h // self.k, w // self.k)
-
 
 def _relu_then_pool(model):
     """The same network with ReLU -> WindowMaxPool where ``build_model``
@@ -295,8 +291,9 @@ def test_maxpool_matches_window_oracle(batch, channels, k, extra_h, extra_w, fil
     shape = (batch, channels, 2 * k + extra_h, 3 * k + extra_w)
     x = _pool_input(rng, fill, shape, channel_last)
     fast, oracle = MaxPool(k), WindowMaxPool(k)
-    np.testing.assert_array_equal(fast.forward(x), oracle.forward(x))
-    dout = rng.normal(size=(batch,) + fast.out_shape(shape[1:]))
+    out = fast.forward(x)
+    np.testing.assert_array_equal(out, oracle.forward(x))
+    dout = rng.normal(size=out.shape)
     np.testing.assert_array_equal(fast.backward(dout), oracle.backward(dout))
 
 
@@ -523,6 +520,27 @@ def test_cnn_base_shape_chain():
     assert model.shapes[0] == (1, 40, 128)
     assert (4, 20, 64) in model.shapes
     assert model.shapes[-1] == (2,)
+
+
+@pytest.mark.parametrize(
+    "make_layers, in_shape, match",
+    [
+        (lambda rng: [Conv2d(2, 3, 2, 2, rng), Flatten(), Linear(999, 4, rng)],
+         (5, 8, 8), r"layer 0 \(Conv2d\) cannot take input of shape \(5, 8, 8\)"),
+        (lambda rng: [Conv2d(5, 3, 2, 2, rng), Flatten(), Linear(999, 4, rng)],
+         (5, 8, 8), r"layer 2 \(Linear\) cannot take input of shape \(48,\)"),
+        (lambda rng: [MaxPool(3), Flatten()],
+         (2, 2, 2), r"layer 0 \(MaxPool\) cannot take input of shape \(2, 2, 2\)"),
+    ],
+)
+def test_inconsistent_layer_chain_fails_at_construction(make_layers, in_shape, match):
+    with pytest.raises(ValueError, match=match):
+        Network(make_layers(RNG(0)), in_shape)
+
+
+def test_network_construction_leaves_no_cache():
+    model = build_model("cnn_base", 2, seed=0)
+    assert all(layer.cache is None for layer in model.layers)
 
 
 def test_unknown_model_kind():
