@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensorio import load_tensor, save_tensor
-
 N_FFT = 512
 HOP = 128
 WIN_SECONDS = 0.025
@@ -78,14 +76,6 @@ class LogMelGram:
             raise ValueError(f"expected {N_MELS}x{TARGET_FRAMES}, got {v.shape}")
         object.__setattr__(self, "values", v)
 
-    def save(self, path: str | Path) -> None:
-        save_tensor(path, self.values, layout="HW")
-
-    @staticmethod
-    def load(path: str | Path) -> "LogMelGram":
-        vals, _ = load_tensor(path, expect_layout="HW")
-        return LogMelGram(vals, (float(vals.min()), float(vals.max())))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
@@ -95,11 +85,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MelBank:
-    weights: np.ndarray = field(repr=False)  # (n_mels, 1 + n_fft//2)
-    sample_rate: int = 16000
-    f_min: float = 0.0
-    f_max: float = 8000.0
-    center_freqs: np.ndarray = field(default=None, repr=False)
+    weights: np.ndarray = field(repr=False)  # (n_mels, 1 + N_FFT//2)
     # Band layout, derived from weights: filter m is zero outside bins
     # band_start[m] .. band_start[m] + width - 1, and band_weights[m] holds
     # it over those bins. width is the widest filter's span of nonzero bins;
@@ -120,8 +106,6 @@ class MelBank:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "band_start", _read_only(start))
         object.__setattr__(self, "band_weights", _read_only(np.take_along_axis(weights, cols, 1)))
-        if self.center_freqs is not None:
-            object.__setattr__(self, "center_freqs", _read_only(self.center_freqs))
 
     def project(self, power: np.ndarray) -> np.ndarray:
         """Mel power (n_mels, frames) of a power spectrogram (bins, frames):
@@ -218,23 +202,20 @@ def stft(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
     return np.fft.rfft(frames * window, axis=1).T
 
 
-def stft_power(
-    w: Waveform,
-    n_fft: int = N_FFT,
-    hop: int = HOP,
-    win_seconds: float = WIN_SECONDS,
-) -> np.ndarray:
-    """Power spectrogram |STFT|^2 of shape (1 + n_fft//2, frames)."""
-    win_length = int(round(win_seconds * w.sample_rate))
-    if win_length > n_fft:
+def stft_power(w: Waveform) -> np.ndarray:
+    """Power spectrogram |STFT|^2 of shape (1 + N_FFT//2, frames), with a
+    WIN_SECONDS Hann window centred in each N_FFT frame."""
+    win_length = int(round(WIN_SECONDS * w.sample_rate))
+    if win_length > N_FFT:
         raise ValueError(
-            f"window of {win_length} samples exceeds n_fft={n_fft}; "
-            "resample the input or enlarge the FFT"
+            f"{w.source_id or 'waveform'}: a {WIN_SECONDS * 1000:g} ms window at "
+            f"{w.sample_rate} Hz is {win_length} samples, more than the {N_FFT}-point "
+            f"FFT; resample the input to at most {int(N_FFT / WIN_SECONDS)} Hz"
         )
-    window = np.zeros(n_fft)
-    offset = (n_fft - win_length) // 2
+    window = np.zeros(N_FFT)
+    offset = (N_FFT - win_length) // 2
     window[offset : offset + win_length] = hann_window(win_length)
-    return np.abs(stft(w.samples, n_fft, hop, window)) ** 2
+    return np.abs(stft(w.samples, N_FFT, HOP, window)) ** 2
 
 
 def _hz_to_mel(f):
@@ -258,18 +239,17 @@ def _mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_bank(sample_rate: int, n_mels: int = N_MELS, n_fft: int = N_FFT) -> MelBank:
+def mel_bank(sample_rate: int, n_mels: int = N_MELS) -> MelBank:
     """Slaney-style triangular filters, area-normalized. Memoised for the
     16 most recent argument tuples; every caller shares a bank, so its
     arrays are read-only."""
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    if n_mels > n_fft // 2:
-        raise ValueError(f"n_mels={n_mels} too large for n_fft={n_fft}")
-    f_min, f_max = 0.0, sample_rate / 2.0
-    mel_pts = np.linspace(_hz_to_mel(f_min), _hz_to_mel(f_max), n_mels + 2)
+    if n_mels > N_FFT // 2:
+        raise ValueError(f"n_mels={n_mels} too large for an {N_FFT}-point FFT")
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = _mel_to_hz(mel_pts)
-    bin_freqs = np.linspace(0.0, sample_rate / 2.0, 1 + n_fft // 2)
+    bin_freqs = np.linspace(0.0, sample_rate / 2.0, 1 + N_FFT // 2)
 
     lower = hz_pts[:-2, None]
     center = hz_pts[1:-1, None]
@@ -278,7 +258,7 @@ def mel_bank(sample_rate: int, n_mels: int = N_MELS, n_fft: int = N_FFT) -> MelB
     down = (upper - bin_freqs[None, :]) / (upper - center)
     weights = np.maximum(0.0, np.minimum(up, down))
     weights *= (2.0 / (hz_pts[2:] - hz_pts[:-2]))[:, None]
-    return MelBank(weights, sample_rate, f_min, f_max, hz_pts[1:-1].copy())
+    return MelBank(weights)
 
 
 def _resize_time(mat: np.ndarray, target: int) -> np.ndarray:
@@ -297,12 +277,9 @@ def _resize_time(mat: np.ndarray, target: int) -> np.ndarray:
     return out
 
 
-def log_mel(w: Waveform, bank: MelBank | None = None) -> LogMelGram:
+def log_mel(w: Waveform) -> LogMelGram:
     """Normalized 40x128 log-Mel gram of a waveform."""
-    if bank is None:
-        bank = mel_bank(w.sample_rate)
-    power = stft_power(w)
-    mel_power = bank.project(power)
+    mel_power = mel_bank(w.sample_rate).project(stft_power(w))
     logged = np.log(mel_power + LOG_EPS)
     logged = _resize_time(logged, TARGET_FRAMES)
     lo, hi = float(logged.min()), float(logged.max())

@@ -8,7 +8,6 @@ config; the other subcommands expose the individual stages.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -19,14 +18,14 @@ from .audio import load_wav, log_mel, write_wav
 from .corrupt import CorruptionKind
 from .qsim import Template, build_circuit
 from .quanv import PATCH_QUBITS, quanv_forward
+from .tensorio import save_tensor
 
 
 def _iter_wavs(in_dir: Path, manifest: Path | None):
     if manifest is not None:
-        with open(manifest, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                p = Path(rec["path"])
-                yield p if p.is_absolute() else in_dir / p
+        for rec in harness.read_manifest_csv(manifest):
+            p = Path(rec["path"])
+            yield p if p.is_absolute() else in_dir / p
     else:
         yield from sorted(in_dir.rglob("*.wav"))
 
@@ -44,7 +43,7 @@ def cmd_featurize(args) -> int:
     circuit = None
     if args.template:
         circuit = build_circuit(args.template, PATCH_QUBITS, args.depth, args.circuit_seed)
-    suffix = ".gram" if circuit is None else ".fmap"
+    suffix, layout = (".gram", "HW") if circuit is None else (".fmap", "CHW")
     # A manifest path outside --in is named by its basename, so two of them
     # can map to one output; refuse before writing anything.
     sources: dict[Path, Path] = {}
@@ -54,9 +53,10 @@ def cmd_featurize(args) -> int:
         if sources.setdefault(target, wav_path) != wav_path:
             raise ValueError(f"{sources[target]} and {wav_path} would both write {target}")
     for target, wav_path in sources.items():
-        gram = log_mel(load_wav(wav_path))
+        gram = log_mel(load_wav(wav_path)).values
         target.parent.mkdir(parents=True, exist_ok=True)
-        (gram if circuit is None else quanv_forward(gram.values, circuit)).save(target)
+        features = gram if circuit is None else quanv_forward(gram, circuit)
+        save_tensor(target, features, layout=layout)
     return 0
 
 

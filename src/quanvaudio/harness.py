@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +66,28 @@ class DatasetManifest:
         return self._label_map[row.label]
 
 
+def read_manifest_csv(manifest_csv: str | Path) -> list[dict[str, str]]:
+    """The records of a path,label[,group] CSV; a header without path or
+    label is a ManifestError."""
+    with open(manifest_csv, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("path", "label") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ManifestError(f"{manifest_csv}: no {' or '.join(missing)} column in its header")
+        return list(reader)
+
+
 def load_manifest(root: str | Path, manifest_csv: str | Path | None = None) -> DatasetManifest:
     """Dataset layout root/<label>/<file>.wav, or an explicit CSV with
     columns path,label[,group] overriding it."""
     root = Path(root)
     rows: list[ManifestRow] = []
     if manifest_csv is not None:
-        with open(manifest_csv, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                path = rec["path"]
-                if not os.path.isabs(path):
-                    path = str(root / path)
-                rows.append(ManifestRow(path, rec["label"], rec.get("group") or None))
+        for rec in read_manifest_csv(manifest_csv):
+            path = rec["path"]
+            if not os.path.isabs(path):
+                path = str(root / path)
+            rows.append(ManifestRow(path, rec["label"], rec.get("group") or None))
     else:
         for label_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             for wav in sorted(label_dir.glob("*.wav")):
@@ -241,11 +251,21 @@ class ExperimentConfig:
         import yaml
 
         with open(path) as fh:
-            return ExperimentConfig.from_dict(yaml.safe_load(fh))
+            doc = yaml.safe_load(fh)
+        try:
+            return ExperimentConfig.from_dict(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        """The config of a YAML or JSON document, whose lists become tuples."""
+        """The config of a YAML or JSON mapping, whose lists become tuples;
+        any other document, or a key that names no field, is a ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a mapping of field names, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         doc = dict(doc)
         for key in ("models", "depths", "corruptions", "severities", "split_ratios"):
             if key in doc and doc[key] is not None:
@@ -314,7 +334,7 @@ def _features(grams: list[np.ndarray], circuit: CircuitSpec | None) -> np.ndarra
     None), else their quanvolution maps through ``circuit``."""
     if circuit is None:
         return np.stack([g[None, :, :] for g in grams])
-    return np.stack([quanv_forward(g, circuit).values for g in grams])
+    return np.stack([quanv_forward(g, circuit) for g in grams])
 
 
 def _fmt(x) -> str:

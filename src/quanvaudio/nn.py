@@ -264,6 +264,7 @@ QNN_TEMPLATE = {"qnn_basic": "BEQC", "qnn_strongly": "SEQC", "qnn_random": "RQC"
 
 GRAM_SHAPE = (1, 40, 128)
 FEATURE_SHAPE = (4, 20, 64)
+EVAL_BATCH = 256  # samples per inference pass in evaluate
 
 
 def build_model(kind: str, n_classes: int, seed: int) -> Network:
@@ -365,12 +366,12 @@ class TrainResult:
     best_val_loss: float = np.inf
 
 
-def evaluate(model: Network, x: np.ndarray, labels: np.ndarray, batch_size=256):
+def evaluate(model: Network, x: np.ndarray, labels: np.ndarray):
     """Returns (mean loss, accuracy, predictions)."""
     losses, preds = [], []
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size], keep_cache=False)
-        loss, _ = softmax_cross_entropy(logits, labels[start : start + batch_size])
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        logits = model.forward(x[start : start + EVAL_BATCH], keep_cache=False)
+        loss, _ = softmax_cross_entropy(logits, labels[start : start + EVAL_BATCH])
         losses.append(loss * logits.shape[0])
         preds.append(logits.argmax(axis=1))
     preds = np.concatenate(preds)

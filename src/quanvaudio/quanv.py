@@ -16,13 +16,10 @@ the cost per gram does not depend on circuit depth.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .qsim import CircuitSpec, run_circuit_batch
-from .tensorio import load_tensor, save_tensor
 
 PATCH_QUBITS = 4
 CLAMP_EPS = 1e-9
@@ -41,30 +38,6 @@ _TERM_ATOL = 1e-14
 
 class PatchRangeError(ValueError):
     """Patch values stray outside [0,1] beyond clamping tolerance."""
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Channel-first (C, H, W) feature tensor."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3:
-            raise ValueError(f"expected (C, H, W), got shape {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.values.shape
-
-    def save(self, path: str | Path) -> None:
-        save_tensor(path, self.values, layout="CHW")
-
-    @staticmethod
-    def load(path: str | Path) -> "FeatureMap":
-        return FeatureMap(load_tensor(path, expect_layout="CHW")[0])
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
@@ -144,11 +117,11 @@ def _extract_patches(gram: np.ndarray) -> tuple[np.ndarray, int, int]:
     return blocks, hp // 2, wp // 2
 
 
-def quanv_forward(gram: np.ndarray, spec: CircuitSpec) -> FeatureMap:
+def quanv_forward(gram: np.ndarray, spec: CircuitSpec) -> np.ndarray:
     """Slide the quantum filter over a [0,1] matrix.
 
-    Returns a 4-channel map of shape (4, ceil(H/2), ceil(W/2)); an input
-    of 40x128 yields 4x20x64.
+    Returns the float64 4-channel map of shape (4, ceil(H/2), ceil(W/2));
+    an input of 40x128 yields 4x20x64.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2:
@@ -162,5 +135,4 @@ def quanv_forward(gram: np.ndarray, spec: CircuitSpec) -> FeatureMap:
     # busy. The 2-D form takes einsum's fast path.
     m_psi = np.einsum("pi,ik->pk", psi, weights).reshape(psi.shape[0], PATCH_QUBITS, -1)
     z = np.einsum("pqj,pj->pq", m_psi, psi)
-    fmap = z.reshape(out_h, out_w, PATCH_QUBITS).transpose(2, 0, 1)
-    return FeatureMap(fmap)
+    return z.reshape(out_h, out_w, PATCH_QUBITS).transpose(2, 0, 1)

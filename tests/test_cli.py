@@ -1,16 +1,25 @@
 """Command-line interface: every subcommand driven through main()."""
 
 import csv
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quanvaudio.audio import LogMelGram, load_wav, write_wav
+from quanvaudio.audio import load_wav, write_wav
 from quanvaudio.cli import main
 from quanvaudio.corrupt import SEVERITY_TABLE, CorruptionKind, speed_by
-from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig
-from quanvaudio.quanv import FeatureMap
+from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig, ManifestError, clean_gram
+from quanvaudio.qsim import build_circuit
+from quanvaudio.quanv import quanv_forward
+from quanvaudio.tensorio import load_tensor
+
+
+def _header_and_payload(path: Path) -> tuple[dict, bytes]:
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), payload
 
 
 def test_featurize_grams(toy_root, tmp_path):
@@ -18,8 +27,13 @@ def test_featurize_grams(toy_root, tmp_path):
     assert main(["featurize", "--in", str(toy_root / "low"), "--out", str(out)]) == 0
     files = sorted(out.rglob("*.gram"))
     assert len(files) == 12
-    gram = LogMelGram.load(files[0])
-    assert gram.values.shape == (40, 128)
+    gram, _ = load_tensor(files[0], expect_layout="HW")
+    assert gram.shape == (40, 128)
+    # the file is the tensor header, then the sweep's gram of the clip
+    header, payload = _header_and_payload(files[0])
+    assert header == {"dims": [40, 128], "dtype": "f64", "layout": "HW"}
+    wav = toy_root / "low" / files[0].relative_to(out).with_suffix(".wav")
+    assert payload == clean_gram(str(wav)).astype("<f8").tobytes()
 
 
 def test_featurize_quanv_maps(toy_root, tmp_path):
@@ -31,9 +45,23 @@ def test_featurize_quanv_maps(toy_root, tmp_path):
     assert code == 0
     files = sorted(out.rglob("*.fmap"))
     assert len(files) == 12
-    fmap = FeatureMap.load(files[0])
+    fmap, _ = load_tensor(files[0], expect_layout="CHW")
     assert fmap.shape == (4, 20, 64)
-    assert np.all(np.abs(fmap.values) <= 1 + 1e-12)
+    assert np.all(np.abs(fmap) <= 1 + 1e-12)
+    # the file is the tensor header, then the default circuit's map of the clip's gram
+    header, payload = _header_and_payload(files[0])
+    assert header == {"dims": [4, 20, 64], "dtype": "f64", "layout": "CHW"}
+    wav = toy_root / "high" / files[0].relative_to(out).with_suffix(".wav")
+    expected = quanv_forward(clean_gram(str(wav)), build_circuit("BEQC", 4, 1, 1234))
+    assert payload == np.ascontiguousarray(expected, dtype="<f8").tobytes()
+
+
+def test_featurize_names_missing_manifest_columns(toy_root, tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"file,label\n{next(toy_root.rglob('*.wav'))},low\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(manifest))}: no path column"):
+        main(["featurize", "--in", str(toy_root), "--out", str(tmp_path / "grams"),
+              "--manifest", str(manifest)])
 
 
 def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path):

@@ -124,6 +124,15 @@ def test_load_manifest_missing_file(toy_root, tmp_path):
         load_manifest(toy_root, csv_path)
 
 
+@pytest.mark.parametrize("header, missing", [("file,label", "path"), ("path,class", "label"),
+                                             ("file,class", "path or label")])
+def test_load_manifest_names_missing_columns(toy_root, tmp_path, header, missing):
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text(f"{header}\n{next(toy_root.rglob('*.wav'))},low\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(csv_path))}: no {missing} column"):
+        load_manifest(toy_root, csv_path)
+
+
 def test_manifest_needs_two_classes(toy_root, tmp_path):
     (tmp_path / "only").mkdir()
     shutil.copy(next(toy_root.rglob("*.wav")), tmp_path / "only" / "a.wav")
@@ -154,6 +163,19 @@ def test_config_yaml_round_trip(tmp_path):
     assert ExperimentConfig.from_yaml(path) == cfg
     doc = yaml.safe_load(path.read_text())
     assert doc["models"] == ["cnn_base", "qnn_random"]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("", "config must be a mapping of field names, got NoneType"),
+    ("- data_root\n", "config must be a mapping of field names, got list"),
+    ("data_root: /d\noutput_dir: /o\nseeds: 3\nepochs: 2\n",
+     "unknown config keys ['epochs', 'seeds']"),
+], ids=["empty", "list", "unknown_keys"])
+def test_bad_config_file_names_itself_and_the_problem(tmp_path, text, problem):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}"):
+        ExperimentConfig.from_yaml(path)
 
 
 def test_config_validation():

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quanvaudio import nn
-from quanvaudio.audio import LogMelGram
 from quanvaudio.nn import (
     Adam,
     Conv2d,
@@ -32,6 +31,7 @@ from quanvaudio.nn import (
     softmax_cross_entropy,
     train,
 )
+from quanvaudio.tensorio import load_tensor, save_tensor
 
 RNG = np.random.default_rng
 
@@ -650,8 +650,8 @@ def test_truncated_checkpoint(tmp_path):
 def test_tensor_file_of_wrong_length_names_the_file(tmp_path, resize):
     ckpt, gram = tmp_path / "ckpt.bin", tmp_path / "g.gram"
     save_checkpoint(ckpt, "cnn_base", 2, build_model("cnn_base", 2, seed=26).get_params())
-    LogMelGram(RNG(27).uniform(0, 1, (40, 128))).save(gram)
-    for path, load in ((ckpt, load_checkpoint), (gram, LogMelGram.load)):
+    save_tensor(gram, RNG(27).uniform(0, 1, (40, 128)), layout="HW")
+    for path, load in ((ckpt, load_checkpoint), (gram, load_tensor)):
         data = path.read_bytes()
         path.write_bytes(data[:-8] if resize == "truncated" else data + bytes(8))
         with pytest.raises(IOError, match=re.escape(str(path))):
@@ -660,7 +660,7 @@ def test_tensor_file_of_wrong_length_names_the_file(tmp_path, resize):
 
 def test_gram_is_not_a_checkpoint(tmp_path):
     path = tmp_path / "g.gram"
-    LogMelGram(RNG(28).uniform(0, 1, (40, 128))).save(path)
+    save_tensor(path, RNG(28).uniform(0, 1, (40, 128)), layout="HW")
     with pytest.raises(ValueError, match="expected layout params, found HW"):
         load_checkpoint(path)
 

@@ -21,7 +21,6 @@ from quanvaudio.qsim import (
     run_circuit_batch,
 )
 from quanvaudio.quanv import (
-    FeatureMap,
     PatchRangeError,
     filter_terms,
     observables,
@@ -98,13 +97,13 @@ def test_zero_gram_through_zero_angle_circuit_is_all_ones():
     )
     out = quanv_forward(np.zeros((40, 128)), zeroed)
     assert out.shape == (4, 20, 64)
-    np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(out, 1.0, atol=1e-12)
 
 
 def test_identity_circuit_is_cosine_per_channel():
     rng = np.random.default_rng(3)
     gram = rng.uniform(0, 1, (8, 10))
-    out = quanv_forward(gram, IDENTITY_CIRCUIT).values
+    out = quanv_forward(gram, IDENTITY_CIRCUIT)
     patches = gram.reshape(4, 2, 5, 2).transpose(0, 2, 1, 3).reshape(4, 5, 4)
     for q in range(4):
         np.testing.assert_allclose(out[q], np.cos(np.pi * patches[..., q]), atol=1e-12)
@@ -120,7 +119,7 @@ def test_shape_law_40x128():
 def test_shape_law_and_range_property(h, w):
     rng = np.random.default_rng(h * 100 + w)
     gram = rng.uniform(0, 1, (h, w))
-    out = quanv_forward(gram, build_beqc(4, 2, seed=1)).values
+    out = quanv_forward(gram, build_beqc(4, 2, seed=1))
     assert out.shape == (4, (h + 1) // 2, (w + 1) // 2)
     assert np.all(np.abs(out) <= 1 + 1e-12)
 
@@ -131,7 +130,7 @@ def test_odd_dims_are_zero_padded():
     padded[:3, :3] = gram
     spec = build_beqc(4, 1, seed=4)
     np.testing.assert_array_equal(
-        quanv_forward(gram, spec).values, quanv_forward(padded, spec).values
+        quanv_forward(gram, spec), quanv_forward(padded, spec)
     )
 
 
@@ -139,10 +138,10 @@ def test_locality_of_patches():
     rng = np.random.default_rng(5)
     gram = rng.uniform(0, 1, (10, 12))
     spec = build_beqc(4, 2, seed=2)
-    base = quanv_forward(gram, spec).values
+    base = quanv_forward(gram, spec)
     bumped = gram.copy()
     bumped[4:6, 6:8] = rng.uniform(0, 1, (2, 2))  # patch (row 2, col 3)
-    out = quanv_forward(bumped, spec).values
+    out = quanv_forward(bumped, spec)
     changed = np.any(base != out, axis=0)
     expected = np.zeros_like(changed)
     expected[2, 3] = True
@@ -153,8 +152,8 @@ def test_determinism_bit_for_bit():
     rng = np.random.default_rng(6)
     gram = rng.uniform(0, 1, (12, 14))
     spec = build_beqc(4, 3, seed=8)
-    a = quanv_forward(gram, spec).values
-    b = quanv_forward(gram, spec).values
+    a = quanv_forward(gram, spec)
+    b = quanv_forward(gram, spec)
     np.testing.assert_array_equal(a, b)
 
 
@@ -165,18 +164,6 @@ def test_quanv_forward_validation():
         quanv_forward(np.zeros(16), IDENTITY_CIRCUIT)
     with pytest.raises(PatchRangeError):
         quanv_forward(np.full((4, 4), 2.0), IDENTITY_CIRCUIT)
-
-
-def test_feature_map_round_trip(tmp_path):
-    values = np.random.default_rng(9).uniform(-1, 1, (4, 5, 6))
-    path = tmp_path / "map.fmap"
-    FeatureMap(values).save(path)
-    np.testing.assert_array_equal(FeatureMap.load(path).values, values)
-
-
-def test_feature_map_requires_3d():
-    with pytest.raises(ValueError):
-        FeatureMap(np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +204,7 @@ def test_folded_observable_matches_statevector_oracle(template, depth, h, w, see
     gram[rng.random((h, w)) < 0.2] = 1.0
     spec = build_circuit(template, 4, depth, seed % 1000)
     np.testing.assert_allclose(
-        quanv_forward(gram, spec).values, _statevector_oracle(gram, spec), rtol=0, atol=1e-12
+        quanv_forward(gram, spec), _statevector_oracle(gram, spec), rtol=0, atol=1e-12
     )
 
 
@@ -280,7 +267,7 @@ def test_filter_terms_reproduce_quanv_forward(template):
         terms = json.loads(json.dumps(filter_terms(spec)))
         assert all(1 <= len(channel) <= 81 for channel in terms["channels"])
         np.testing.assert_allclose(
-            _evaluate_terms(terms, gram), quanv_forward(gram, spec).values, rtol=0, atol=1e-12
+            _evaluate_terms(terms, gram), quanv_forward(gram, spec), rtol=0, atol=1e-12
         )
 
 
