@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +188,19 @@ def corruption_spec(
     return CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
 
 
+# What a YAML or JSON value may be for each scalar annotation of ExperimentConfig
+_SCALAR_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether ``value`` may stand for a field annotated ``annotation``;
+    a list or tuple fits ``tuple[int, ...]`` when each item fits ``int``."""
+    if annotation.startswith("tuple["):
+        item = annotation[len("tuple["):].split(",")[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _SCALAR_TYPES[annotation])
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data_root: str
@@ -259,18 +272,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        """The config of a YAML or JSON mapping, whose lists become tuples;
-        any other document, or a key that names no field, is a ValueError."""
+        """The config of a YAML or JSON mapping, whose lists become tuples.
+        Any other document, a key that names no field, a missing required
+        key, or a value of the wrong type is a ValueError naming the key."""
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a mapping of field names, got {type(doc).__name__}")
         unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        doc = dict(doc)
-        for key in ("models", "depths", "corruptions", "severities", "split_ratios"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
-        return ExperimentConfig(**doc)
+        for f in fields(ExperimentConfig):
+            if f.name not in doc:
+                if f.default is MISSING:
+                    raise ValueError(f"missing config key {f.name!r}")
+            elif not _fits(doc[f.name], f.type):
+                raise ValueError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
+        return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in doc.items()})
 
     def to_yaml(self, path: str | Path) -> None:
         import yaml
@@ -395,7 +412,8 @@ def run_experiment(
     (``_child_env``), and a seed that aborts raises ``SeedFailed``.
     ``jobs=1``, one seed or one core run the seeds in this process one
     after the other. Either way this process then writes ``accuracy.csv``,
-    the reports and ``failures.csv``. A failed training run or cell is
+    the reports, which it computes from that file just as ``quanvaudio
+    report`` does, and ``failures.csv``. A failed training run or cell is
     recorded and the sweep goes on. With ``reuse_checkpoints`` an existing
     checkpoint file is loaded instead of retraining; ``models_filter``
     restricts to the listed model ids.
@@ -434,7 +452,7 @@ def run_experiment(
     write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
     if evaluate_corrupted:
         write_reports(
-            out_dir, grids_from_rows(result.accuracy_rows),
+            out_dir, grids_from_accuracy_csv(out_dir / "accuracy.csv"),
             [i.model_id for i in instances], cfg.n_seeds,
         )
     if result.failures:
@@ -694,7 +712,7 @@ def write_reports(
     an undefined (None) cell. Rows follow sorted model ids, whatever order
     ``model_ids`` has. Returns one problem line per seed or (seed, model)
     that got no report."""
-    reports: list[metricsmod.RobustnessReport] = []
+    reports: list[tuple[int, str, dict[str, float | None]]] = []
     problems: list[str] = []
     for seed_idx in range(n_seeds):
         base = grids.get((seed_idx, BASELINE_MODEL))
@@ -706,24 +724,22 @@ def write_reports(
             if grid is None:
                 problems.append(f"seed {seed_idx}: {model_id} grid incomplete")
                 continue
-            reports.append(metricsmod.robustness_report(grid, base))
+            reports.append((seed_idx, model_id, metricsmod.robustness_report(grid, base)))
     write_csv(
         out_dir / "report_per_seed.csv",
         ["seed", "model", "kind", "CE", "RCE"],
-        [[r.seed, r.model_id, k.value, r.ce[k], r.rce[k]]
-         for r in reports for k in CorruptionKind],
+        [[seed_idx, model_id, k.value, r[f"ce/{k.value}"], r[f"rce/{k.value}"]]
+         for seed_idx, model_id, r in reports for k in CorruptionKind],
     )
 
     summary_rows = [(k.value, f"ce/{k.value}", f"rce/{k.value}") for k in CorruptionKind]
     summary_rows.append(("mCE/RmCE", "mce", "rmce"))
     agg_rows: list[list] = []
-    for model_id in sorted({r.model_id for r in reports}):
-        agg = metricsmod.aggregate_seeds([r for r in reports if r.model_id == model_id])
+    for model_id in sorted({m for _, m, _ in reports}):
+        agg = metricsmod.aggregate_seeds([r for _, m, r in reports if m == model_id])
         for label, ce_key, rce_key in summary_rows:
-            row = [model_id, label]
-            for cell in (agg[ce_key], agg[rce_key]):
-                row += [None, None] if cell is None else [cell.mean, cell.std]
-            agg_rows.append(row)
+            agg_rows.append([model_id, label, *(agg[ce_key] or (None, None)),
+                             *(agg[rce_key] or (None, None))])
     write_csv(
         out_dir / "report.csv",
         ["model", "kind", "CE_mean", "CE_std", "RCE_mean", "RCE_std"],
@@ -734,36 +750,37 @@ def write_reports(
     return problems
 
 
-def grids_from_rows(rows) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
-    """Per-(seed, model) accuracy grids from accuracy rows laid out as
+def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
+    """Per-(seed, model) accuracy grids of an accuracy.csv laid out as
     ``ACCURACY_HEADER``. A (seed, model) that lacks its clean row or any
-    kind x severity cell gets no grid."""
-    clean: dict[tuple[int, str], float] = {}
-    acc: dict[tuple[int, str], dict[tuple[CorruptionKind, int], float]] = defaultdict(dict)
-    for seed, model, _template, _depth, kind, sev, value in rows:
-        if kind == "clean":
-            clean[(seed, model)] = value
-        else:
-            acc[(seed, model)][(CorruptionKind(kind), sev)] = value
+    kind x severity cell gets no grid. A header without one of those
+    columns is a ValueError naming the file; a value that does not parse,
+    or an accuracy outside [0, 1], one naming the file and line."""
+    # (seed, model) -> (kind, severity) -> accuracy; the clean row is (None, 0)
+    cells: dict[tuple[int, str], dict] = defaultdict(dict)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ACCURACY_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column in its header")
+        for rec in reader:
+            try:
+                key = (int(rec["seed"]), rec["model"])
+                kind = None if rec["kind"] == "clean" else CorruptionKind(rec["kind"])
+                sev, value = int(rec["severity"]), float(rec["accuracy"])
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"accuracy {value} outside [0, 1]")
+            except (TypeError, ValueError) as exc:  # a short row's missing fields are None
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+            cells[key][(kind, 0 if kind is None else sev)] = value
     severities = range(1, corruptmod.N_SEVERITIES + 1)
+    needed = [(None, 0)] + [(k, s) for k in CorruptionKind for s in severities]
     return {
         key: metricsmod.AccuracyGrid(
             model_id=key[1],
-            clean_acc=clean[key],
-            acc={k: tuple(cells[(k, s)] for s in severities) for k in CorruptionKind},
-            seed=key[0],
+            clean_acc=got[(None, 0)],
+            acc={k: tuple(got[(k, s)] for s in severities) for k in CorruptionKind},
         )
-        for key, cells in acc.items()
-        if key in clean and all((k, s) in cells for k in CorruptionKind for s in severities)
+        for key, got in cells.items()
+        if all(cell in got for cell in needed)
     }
-
-
-def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
-    """Rebuild per-seed accuracy grids from an accuracy.csv file."""
-    with open(path, newline="") as fh:
-        rows = [
-            [int(rec["seed"]), rec["model"], rec["template"], rec["depth"],
-             rec["kind"], int(rec["severity"]), float(rec["accuracy"])]
-            for rec in csv.DictReader(fh)
-        ]
-    return grids_from_rows(rows)

@@ -170,7 +170,10 @@ def test_config_yaml_round_trip(tmp_path):
     ("- data_root\n", "config must be a mapping of field names, got list"),
     ("data_root: /d\noutput_dir: /o\nseeds: 3\nepochs: 2\n",
      "unknown config keys ['epochs', 'seeds']"),
-], ids=["empty", "list", "unknown_keys"])
+    ("output_dir: /o\n", "missing config key 'data_root'"),
+    ("data_root: /d\noutput_dir: /o\nmodels: 5\n", "models must be tuple[str, ...], got 5"),
+    ('data_root: /d\noutput_dir: /o\nn_seeds: "3"\n', "n_seeds must be int, got '3'"),
+], ids=["empty", "list", "unknown_keys", "missing_key", "models_not_list", "n_seeds_str"])
 def test_bad_config_file_names_itself_and_the_problem(tmp_path, text, problem):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
@@ -627,6 +630,22 @@ def test_grids_skip_incomplete(tmp_path):
     assert (0, "qnn_basic_d1") not in grids
 
 
+@pytest.mark.parametrize("line_no, new_line, problem", [
+    (1, "seed,model,depth,kind,severity,accuracy", ": no template column in its header"),
+    (5, "0,cnn_base,-,0,gaussian_noise,3,abc",
+     ", line 5: could not convert string to float: 'abc'"),
+    (7, "0,cnn_base,-,0,gaussian_noise,5,1.2", ", line 7: accuracy 1.2 outside [0, 1]"),
+], ids=["missing_column", "non_numeric", "out_of_range"])
+def test_malformed_accuracy_csv_names_file_and_line(tmp_path, line_no, new_line, problem):
+    acc_csv = tmp_path / "accuracy.csv"
+    _full_accuracy_csv(acc_csv, n_seeds=1)
+    lines = acc_csv.read_text().splitlines()
+    lines[line_no - 1] = new_line
+    acc_csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{acc_csv}{problem}')}$"):
+        grids_from_accuracy_csv(acc_csv)
+
+
 # ---------------------------------------------------------------------------
 # Report characterization: the bytes of report_per_seed.csv, report.csv and
 # report_problems.csv for fixed accuracy tables, committed under
@@ -682,8 +701,6 @@ def test_reports_match_characterized_bytes(tmp_path, name):
     rows = _report_fixture_rows(name)
     _write_accuracy_csv(tmp_path / "accuracy.csv", rows)
     grids = grids_from_accuracy_csv(tmp_path / "accuracy.csv")
-    # the sweep builds its grids from the same rows before they hit the CSV
-    assert harness.grids_from_rows(rows) == grids
     # the sweep passes config order, `quanvaudio report` sorted order
     for order in (list(REPORT_MODELS), list(reversed(REPORT_MODELS))):
         out = tmp_path / "_".join(order)
