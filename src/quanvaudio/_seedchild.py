@@ -28,10 +28,7 @@ def main(job_json: str) -> int:
     try:
         result = harness._run_seed(
             cfg, job["seed_idx"],
-            harness.load_manifest(cfg.data_root, cfg.manifest_csv),
-            evaluate_corrupted=job["evaluate_corrupted"],
-            reuse_checkpoints=job["reuse_checkpoints"],
-            models_filter=job["models_filter"],
+            harness.load_manifest(cfg.data_root, cfg.manifest_csv), job["reuse_checkpoints"],
         )
     except Exception as exc:  # the parent raises it as the sweep's error
         logging.getLogger(__name__).exception("seed %d failed", job["seed_idx"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import corrupt as corruptmod
@@ -81,22 +82,27 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _sweep(args, *, clean_only=False, reuse_checkpoints=False) -> int:
+    """The sweep of ``args.config``, narrowed to ``args.model`` when one is
+    given and to the clean test set with ``clean_only``."""
     cfg = harness.ExperimentConfig.from_yaml(args.config)
-    models = [args.model] if args.model else None
-    result = harness.run_experiment(
-        cfg, evaluate_corrupted=False, models_filter=models
-    )
-    return 1 if result.failures else 0
+    if getattr(args, "model", None):
+        cfg = cfg.only(args.model)
+    if clean_only:
+        cfg = replace(cfg, corruptions=())
+    result = harness.run_experiment(cfg, reuse_checkpoints=reuse_checkpoints)
+    if result.failures:
+        print(f"{len(result.failures)} cells failed; see failures.csv", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_train(args) -> int:
+    return _sweep(args, clean_only=True)
 
 
 def cmd_evaluate(args) -> int:
-    cfg = harness.ExperimentConfig.from_yaml(args.config)
-    models = [args.model] if args.model else None
-    result = harness.run_experiment(
-        cfg, reuse_checkpoints=True, models_filter=models
-    )
-    return 1 if result.failures else 0
+    return _sweep(args, reuse_checkpoints=True)
 
 
 def cmd_report(args) -> int:
@@ -113,12 +119,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = harness.ExperimentConfig.from_yaml(args.config)
-    result = harness.run_experiment(cfg)
-    if result.failures:
-        print(f"{len(result.failures)} cells failed; see failures.csv", file=sys.stderr)
-        return 1
-    return 0
+    return _sweep(args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +240,11 @@ class ExperimentConfig:
         for m in self.models:
             if m not in nnmod.MODEL_KINDS:
                 raise ValueError(f"unknown model {m!r}")
+        if not self.models:
+            raise ValueError("models lists no model")
+        quantum = [m for m in self.models if m != BASELINE_MODEL]
+        if quantum and not self.depths:
+            raise ValueError(f"depths lists no depth for {quantum}")
         for c in self.corruptions:
             CorruptionKind(c)
         if not all(1 <= s <= corruptmod.N_SEVERITIES for s in self.severities):
@@ -247,6 +252,33 @@ class ExperimentConfig:
                 f"severities must lie in 1..{corruptmod.N_SEVERITIES}, got {self.severities}"
             )
         self.train_config(0)  # the training hyperparameters must be valid
+
+    def instances(self) -> list[ModelInstance]:
+        """The models this config trains: each kind, a quantum kind once per
+        depth, in config order."""
+        out = []
+        for kind in self.models:
+            if kind == BASELINE_MODEL:
+                out.append(ModelInstance(kind))
+            else:
+                out.extend(
+                    ModelInstance(kind, build_circuit(nnmod.QNN_TEMPLATE[kind], PATCH_QUBITS,
+                                                      d, self.circuit_seed))
+                    for d in self.depths
+                )
+        return out
+
+    def only(self, model_id: str) -> "ExperimentConfig":
+        """This config narrowed to the one model ``model_id``: its kind and,
+        for a quantum model, its depth. An id this config does not train is
+        a ValueError naming it."""
+        instances = self.instances()
+        for inst in instances:
+            if inst.model_id == model_id:
+                depths = self.depths if inst.circuit is None else (inst.depth,)
+                return replace(self, models=(inst.kind,), depths=depths)
+        raise ValueError(f"model {model_id!r} is not configured; "
+                         f"the configured models are {[i.model_id for i in instances]}")
 
     def train_config(self, seed: int) -> nnmod.TrainConfig:
         return nnmod.TrainConfig(
@@ -302,30 +334,23 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A concrete trainable model: kind plus circuit template/depth."""
+    """A concrete trainable model: its kind and the fixed circuit of its
+    quanvolution front end, None for the classical baseline."""
 
     kind: str
-    depth: int = 0  # 0 for the classical baseline
+    circuit: CircuitSpec | None = None
 
     @property
-    def model_id(self) -> str:
-        if self.kind == BASELINE_MODEL:
-            return self.kind
-        return f"{self.kind}_d{self.depth}"
+    def depth(self) -> int:
+        return 0 if self.circuit is None else self.circuit.depth
 
     @property
     def template(self) -> str:
-        return nnmod.QNN_TEMPLATE.get(self.kind, "-")
+        return "-" if self.circuit is None else self.circuit.template.value
 
-
-def model_instances(cfg: ExperimentConfig) -> list[ModelInstance]:
-    out = []
-    for kind in cfg.models:
-        if kind == BASELINE_MODEL:
-            out.append(ModelInstance(kind))
-        else:
-            out.extend(ModelInstance(kind, d) for d in cfg.depths)
-    return out
+    @property
+    def model_id(self) -> str:
+        return self.kind if self.circuit is None else f"{self.kind}_d{self.depth}"
 
 
 def file_sha256(path: str | Path) -> str:
@@ -386,23 +411,12 @@ class SweepResult:
         self.failures.append((cell, type(exc).__name__, str(exc)))
 
 
-def corruption_cells(cfg: ExperimentConfig) -> list[tuple[CorruptionKind, int]]:
-    return [
-        (CorruptionKind(kind), sev)
-        for kind in cfg.corruptions
-        for sev in cfg.severities
-    ]
-
-
 def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    evaluate_corrupted: bool = True,
-    reuse_checkpoints: bool = False,
-    models_filter: list[str] | None = None,
-    jobs: int | None = None,
+    cfg: ExperimentConfig, *, reuse_checkpoints: bool = False, jobs: int | None = None
 ) -> SweepResult:
-    """Full sweep over seeds x models x corruption cells, cell-major.
+    """Full sweep over seeds x models x test cells, cell-major. The cells
+    are the clean test set, then every ``cfg.corruptions`` x
+    ``cfg.severities``; a config with no corrupted cell writes no reports.
 
     Each seed runs through ``_run_seed``, which writes the seed's
     checkpoints, histories and confusion files. Seeds are independent, so
@@ -415,8 +429,7 @@ def run_experiment(
     the reports, which it computes from that file just as ``quanvaudio
     report`` does, and ``failures.csv``. A failed training run or cell is
     recorded and the sweep goes on. With ``reuse_checkpoints`` an existing
-    checkpoint file is loaded instead of retraining; ``models_filter``
-    restricts to the listed model ids.
+    checkpoint file is loaded instead of retraining.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -428,20 +441,19 @@ def run_experiment(
     cfg.to_yaml(out_dir / "config.yaml")
 
     manifest = load_manifest(cfg.data_root, cfg.manifest_csv)
-    instances = _instances(cfg, models_filter)
-    for model_id, circ in _circuits(cfg, instances).items():
-        (out_dir / f"circuit_{model_id}.json").write_text(circ.to_json())
-        (out_dir / f"circuit_{model_id}.terms.json").write_text(
-            json.dumps(filter_terms(circ), indent=1)
-        )
+    instances = cfg.instances()
+    for inst in instances:
+        if inst.circuit is not None:
+            (out_dir / f"circuit_{inst.model_id}.json").write_text(inst.circuit.to_json())
+            (out_dir / f"circuit_{inst.model_id}.terms.json").write_text(
+                json.dumps(filter_terms(inst.circuit), indent=1)
+            )
 
-    opts = dict(evaluate_corrupted=evaluate_corrupted, reuse_checkpoints=reuse_checkpoints,
-                models_filter=models_filter)
     workers = min(cfg.n_seeds, jobs or _usable_cores())
     if workers > 1:
-        seeds = _run_seeds_in_children(cfg, workers, opts)
+        seeds = _run_seeds_in_children(cfg, workers, reuse_checkpoints)
     else:
-        seeds = [_run_seed(cfg, seed_idx, manifest, **opts)
+        seeds = [_run_seed(cfg, seed_idx, manifest, reuse_checkpoints)
                  for seed_idx in range(cfg.n_seeds)]
 
     result = SweepResult(out_dir)
@@ -450,7 +462,7 @@ def run_experiment(
         result.failures += seed.failures
     result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
     write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
-    if evaluate_corrupted:
+    if cfg.corruptions and cfg.severities:
         write_reports(
             out_dir, grids_from_accuracy_csv(out_dir / "accuracy.csv"),
             [i.model_id for i in instances], cfg.n_seeds,
@@ -462,31 +474,8 @@ def run_experiment(
     return result
 
 
-def _instances(cfg: ExperimentConfig, models_filter: list[str] | None) -> list[ModelInstance]:
-    instances = model_instances(cfg)
-    if models_filter is not None:
-        instances = [i for i in instances if i.model_id in models_filter]
-        if not instances:
-            raise ValueError(f"no configured model matches {models_filter}")
-    return instances
-
-
-def _circuits(cfg: ExperimentConfig, instances: list[ModelInstance]) -> dict[str, CircuitSpec]:
-    return {
-        inst.model_id: build_circuit(inst.template, PATCH_QUBITS, inst.depth, cfg.circuit_seed)
-        for inst in instances
-        if inst.kind != BASELINE_MODEL
-    }
-
-
 def _run_seed(
-    cfg: ExperimentConfig,
-    seed_idx: int,
-    manifest: DatasetManifest,
-    *,
-    evaluate_corrupted: bool,
-    reuse_checkpoints: bool,
-    models_filter: list[str] | None,
+    cfg: ExperimentConfig, seed_idx: int, manifest: DatasetManifest, reuse_checkpoints: bool
 ) -> SweepResult:
     """One seed of ``run_experiment``: split, build the clean grams, then
     train every model on its clean train/val features (each model's
@@ -498,9 +487,10 @@ def _run_seed(
     histories and confusion files, and returns its accuracy rows and
     failures."""
     out_dir = Path(cfg.output_dir)
-    instances = _instances(cfg, models_filter)
-    circuits = _circuits(cfg, instances)
-    cells = [(None, 0)] + (corruption_cells(cfg) if evaluate_corrupted else [])
+    instances = cfg.instances()
+    cells = [(None, 0)] + [
+        (CorruptionKind(kind), sev) for kind in cfg.corruptions for sev in cfg.severities
+    ]
     result = SweepResult(out_dir)
     # `reuse_checkpoints` yields params, not networks, and a scoring network
     # holds no training gradients, so one network per kind scores them all.
@@ -534,7 +524,6 @@ def _run_seed(
                     f"{manifest.n_classes} classes, found {arch} for {n_classes}"
                 )
         else:
-            circuit = circuits.get(inst.model_id)
             try:
                 train_result = nnmod.train(
                     nnmod.build_model(
@@ -542,9 +531,9 @@ def _run_seed(
                         manifest.n_classes,
                         derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
                     ),
-                    _features([grams[r.path] for r in train_rows], circuit),
+                    _features([grams[r.path] for r in train_rows], inst.circuit),
                     labels["train"],
-                    _features([grams[r.path] for r in val_rows], circuit),
+                    _features([grams[r.path] for r in val_rows], inst.circuit),
                     labels["val"],
                     cfg.train_config(
                         derive_seed(cfg.master_seed, f"{seed_idx}/train/{inst.model_id}")
@@ -587,8 +576,7 @@ def _run_seed(
                 net = nets[inst.kind]
                 net.set_params(params)
                 _, acc, preds = nnmod.evaluate(
-                    net, _features(test_grams, circuits.get(inst.model_id)),
-                    labels["test"],
+                    net, _features(test_grams, inst.circuit), labels["test"]
                 )
             except Exception as exc:  # cell failure; keep sweeping
                 log.exception("cell failed: seed=%d model=%s cell=%s",
@@ -637,7 +625,9 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-def _run_seeds_in_children(cfg: ExperimentConfig, workers: int, opts: dict) -> list[SweepResult]:
+def _run_seeds_in_children(
+    cfg: ExperimentConfig, workers: int, reuse_checkpoints: bool
+) -> list[SweepResult]:
     """Run every seed of ``cfg`` in a child interpreter (``_seedchild``),
     ``workers`` at a time, and return their results in seed order.
 
@@ -651,7 +641,8 @@ def _run_seeds_in_children(cfg: ExperimentConfig, workers: int, opts: dict) -> l
     import subprocess
 
     env = _child_env()
-    job = {"config": asdict(cfg), "log_level": log.getEffectiveLevel(), **opts}
+    job = {"config": asdict(cfg), "log_level": log.getEffectiveLevel(),
+           "reuse_checkpoints": reuse_checkpoints}
     pending = list(range(cfg.n_seeds))
     running: dict[int, tuple[int, subprocess.Popen, list[bytes]]] = {}  # by stdout fd
     results: dict[int, SweepResult] = {}
@@ -755,9 +746,12 @@ def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmo
     ``ACCURACY_HEADER``. A (seed, model) that lacks its clean row or any
     kind x severity cell gets no grid. A header without one of those
     columns is a ValueError naming the file; a value that does not parse,
-    or an accuracy outside [0, 1], one naming the file and line."""
+    an accuracy outside [0, 1], a clean row whose severity is not 0, a
+    corrupted one whose severity lies outside 1..6, or a second row for one
+    (seed, model, kind, severity), one naming the file and line."""
     # (seed, model) -> (kind, severity) -> accuracy; the clean row is (None, 0)
     cells: dict[tuple[int, str], dict] = defaultdict(dict)
+    severities = range(1, corruptmod.N_SEVERITIES + 1)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ACCURACY_HEADER if c not in (reader.fieldnames or ())]
@@ -770,10 +764,16 @@ def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmo
                 sev, value = int(rec["severity"]), float(rec["accuracy"])
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"accuracy {value} outside [0, 1]")
+                if kind is None and sev != 0:
+                    raise ValueError(f"clean row with severity {sev}, not 0")
+                if kind is not None and sev not in severities:
+                    raise ValueError(f"severity {sev} outside 1..{corruptmod.N_SEVERITIES}")
+                if (kind, sev) in cells[key]:
+                    raise ValueError(f"a second {rec['kind']} severity {sev} row "
+                                     f"for seed {key[0]}, model {key[1]}")
             except (TypeError, ValueError) as exc:  # a short row's missing fields are None
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-            cells[key][(kind, 0 if kind is None else sev)] = value
-    severities = range(1, corruptmod.N_SEVERITIES + 1)
+            cells[key][(kind, sev)] = value
     needed = [(None, 0)] + [(k, s) for k in CorruptionKind for s in severities]
     return {
         key: metricsmod.AccuracyGrid(

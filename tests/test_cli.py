@@ -161,6 +161,49 @@ def test_train_then_evaluate(cli_config):
     assert kinds == {"clean"} | {k.value for k in CorruptionKind}
 
 
+def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tmp_path):
+    """`train --model` and `evaluate --model` run the sweep of a config
+    narrowed to that model, so they write the full sweep's checkpoints,
+    histories and accuracy rows of that model."""
+    def config(name):
+        cfg = ExperimentConfig(
+            data_root=str(toy_root), output_dir=str(tmp_path / name),
+            models=("cnn_base", "qnn_basic"), depths=(1, 2),
+            corruptions=("gaussian_noise", "pitch_shift"), severities=(2,),
+            n_seeds=2, lr=1e-3, max_epochs=3, patience=2, batch_size=8,
+        )
+        cfg.to_yaml(tmp_path / f"{name}.yaml")
+        return Path(cfg.output_dir), str(tmp_path / f"{name}.yaml")
+
+    def rows(out):
+        with open(out / "accuracy.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    full, full_yaml = config("full")
+    one, one_yaml = config("one")
+    assert main(["sweep", "--config", full_yaml]) == 0
+    assert main(["train", "--model", "qnn_basic_d1", "--config", one_yaml]) == 0
+    assert [(r["model"], r["kind"]) for r in rows(one)] == [("qnn_basic_d1", "clean")] * 2
+    assert not list(one.glob("report*.csv"))  # no corrupted cell, no reports
+    assert main(["evaluate", "--model", "qnn_basic_d1", "--config", one_yaml]) == 0
+    assert rows(one) == [r for r in rows(full) if r["model"] == "qnn_basic_d1"]
+    assert len(rows(one)) == 2 * (1 + 2)
+    # config.yaml records the narrowed config, which is what ran
+    assert (ExperimentConfig.from_yaml(one / "config.yaml")
+            == ExperimentConfig.from_yaml(one_yaml).only("qnn_basic_d1"))
+    names = sorted(p.name for p in one.glob("*_seed[0-9]*"))
+    assert names == [f"{stem}_qnn_basic_d1_seed{s}.{ext}"
+                     for stem, ext in (("checkpoint", "bin"), ("history", "csv"))
+                     for s in (0, 1)]
+    for name in names:
+        assert (one / name).read_bytes() == (full / name).read_bytes(), name
+
+    nope, nope_yaml = config("nope")
+    with pytest.raises(ValueError, match="'nope' is not configured"):
+        main(["train", "--model", "nope", "--config", nope_yaml])
+    assert not nope.exists()
+
+
 def test_sweep_exit_code(cli_config):
     cfg, path = cli_config
     assert main(["sweep", "--config", str(path)]) == 0

@@ -26,7 +26,6 @@ from quanvaudio.harness import (
     derive_seed,
     grids_from_accuracy_csv,
     load_manifest,
-    model_instances,
     run_experiment,
     split,
     write_reports,
@@ -205,6 +204,12 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match=re.escape(f"{name} lists {repeated}")):
             ExperimentConfig(data_root="/d", output_dir="/o", **{name: values})
+    # an empty list would train no model, or no model of the listed quantum kinds
+    with pytest.raises(ValueError, match="^models lists no model$"):
+        ExperimentConfig(data_root="/d", output_dir="/o", models=())
+    with pytest.raises(ValueError, match=re.escape("depths lists no depth for ['qnn_basic']")):
+        ExperimentConfig(data_root="/d", output_dir="/o", models=("cnn_base", "qnn_basic"),
+                         depths=())
     # ratios outside (0, 1) would fail later as a class "with only N samples"
     for ratios in ((1.2, -0.1, -0.1), (0.8, 0.2, 0.0), (0.5, 0.3, 0.3), (0.5, 0.5)):
         with pytest.raises(ValueError, match=re.escape(f"split_ratios must be three numbers "
@@ -217,7 +222,7 @@ def test_model_instances_ids():
         data_root="/d", output_dir="/o",
         models=("cnn_base", "qnn_basic", "qnn_strongly"), depths=(1, 4),
     )
-    ids = [inst.model_id for inst in model_instances(cfg)]
+    ids = [inst.model_id for inst in cfg.instances()]
     assert ids == ["cnn_base", "qnn_basic_d1", "qnn_basic_d4",
                    "qnn_strongly_d1", "qnn_strongly_d4"]
 
@@ -278,7 +283,7 @@ def test_rerun_reuses_checkpoints(mini_result, tmp_path):
     cfg, result = mini_result
     ckpt = result.out_dir / "checkpoint_qnn_basic_d1_seed0.bin"
     before = ckpt.read_bytes()
-    rerun = run_experiment(cfg, reuse_checkpoints=True, models_filter=["qnn_basic_d1"])
+    rerun = run_experiment(cfg.only("qnn_basic_d1"), reuse_checkpoints=True)
     assert not rerun.failures
     assert ckpt.read_bytes() == before
 
@@ -408,10 +413,10 @@ def test_cache_dir_is_ignored_with_a_warning(toy_root, tmp_path, caplog):
     assert not cache_dir.exists()
 
 
-def test_models_filter_unknown(mini_result):
+def test_only_unknown_model(mini_result):
     cfg, _ = mini_result
-    with pytest.raises(ValueError):
-        run_experiment(cfg, models_filter=["nope"])
+    with pytest.raises(ValueError, match="'nope' is not configured"):
+        cfg.only("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +640,12 @@ def test_grids_skip_incomplete(tmp_path):
     (5, "0,cnn_base,-,0,gaussian_noise,3,abc",
      ", line 5: could not convert string to float: 'abc'"),
     (7, "0,cnn_base,-,0,gaussian_noise,5,1.2", ", line 7: accuracy 1.2 outside [0, 1]"),
-], ids=["missing_column", "non_numeric", "out_of_range"])
+    (4, "0,cnn_base,-,0,gaussian_noise,1,0.1",
+     ", line 4: a second gaussian_noise severity 1 row for seed 0, model cnn_base"),
+    (9, "0,cnn_base,-,0,clean,4,0.2", ", line 9: clean row with severity 4, not 0"),
+    (10, "0,cnn_base,-,0,pitch_shift,9,0.5", ", line 10: severity 9 outside 1..6"),
+], ids=["missing_column", "non_numeric", "out_of_range", "repeated_cell", "clean_severity",
+        "severity_out_of_range"])
 def test_malformed_accuracy_csv_names_file_and_line(tmp_path, line_no, new_line, problem):
     acc_csv = tmp_path / "accuracy.csv"
     _full_accuracy_csv(acc_csv, n_seeds=1)
