@@ -3,8 +3,8 @@
 
     python -m quanvaudio._seedchild '{"config": {...}, "seed_idx": 1, ...}'
 
-The seed writes its own checkpoints, histories and confusion files. Its
-accuracy rows and failures, or the exception that aborted it, go to
+The seed writes its own checkpoints and histories. Its accuracy rows,
+confusion rows and failures, or the exception that aborted it, go to
 standard output as one JSON document; anything else the seed prints goes
 to standard error, so it cannot corrupt that document.
 """
@@ -34,7 +34,8 @@ def main(job_json: str) -> int:
         logging.getLogger(__name__).exception("seed %d failed", job["seed_idx"])
         doc, code = {"error": [type(exc).__name__, str(exc)]}, 1
     else:
-        doc, code = {"rows": result.accuracy_rows, "failures": result.failures}, 0
+        doc, code = {"accuracy_rows": result.accuracy_rows,
+                     "confusion_rows": result.confusion_rows, "failures": result.failures}, 0
     with report:
         json.dump(doc, report)
     return code

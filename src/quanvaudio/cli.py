@@ -21,6 +21,8 @@ from .qsim import Template, build_circuit
 from .quanv import PATCH_QUBITS, quanv_forward
 from .tensorio import save_tensor
 
+log = logging.getLogger(__name__)
+
 
 def _iter_wavs(in_dir: Path, manifest: Path | None):
     if manifest is not None:
@@ -169,12 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A bad input, a file error or a failed seed is
+    one line on stderr and exit status 2, as argparse reports a bad
+    argument; ``-v`` also logs its traceback."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, harness.SeedFailed) as exc:
+        log.debug("%s failed", args.command, exc_info=True)
+        print(f"quanvaudio {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

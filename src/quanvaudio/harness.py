@@ -56,14 +56,14 @@ class DatasetManifest:
         labels = sorted({r.label for r in self.rows})
         if len(labels) < 2:
             raise ManifestError(f"need at least 2 classes, found {labels}")
-        object.__setattr__(self, "_label_map", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "labels", tuple(labels))  # label i is class i
 
     @property
     def n_classes(self) -> int:
-        return len(self._label_map)
+        return len(self.labels)
 
     def label_index(self, row: ManifestRow) -> int:
-        return self._label_map[row.label]
+        return self.labels.index(row.label)
 
 
 def read_manifest_csv(manifest_csv: str | Path) -> list[dict[str, str]]:
@@ -398,12 +398,14 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "accuracy"]
+CONFUSION_HEADER = ["seed", "model", "kind", "severity", "true", "pred", "count"]
 
 
 @dataclass
 class SweepResult:
     out_dir: Path
     accuracy_rows: list[list] = field(default_factory=list)
+    confusion_rows: list[list] = field(default_factory=list)  # CONFUSION_HEADER rows
     # (cell, exception type name, message), one per failed train or eval cell
     failures: list[tuple[str, str, str]] = field(default_factory=list)
 
@@ -419,17 +421,18 @@ def run_experiment(
     ``cfg.severities``; a config with no corrupted cell writes no reports.
 
     Each seed runs through ``_run_seed``, which writes the seed's
-    checkpoints, histories and confusion files. Seeds are independent, so
-    when more than one would run at once -- ``jobs`` of them (by default
+    checkpoints and histories and returns its rows. Seeds are independent,
+    so when more than one would run at once -- ``jobs`` of them (by default
     the usable cores), never more than ``cfg.n_seeds`` -- each seed runs
     in a child interpreter on one BLAS thread that keeps its freed heap
     (``_child_env``), and a seed that aborts raises ``SeedFailed``.
     ``jobs=1``, one seed or one core run the seeds in this process one
-    after the other. Either way this process then writes ``accuracy.csv``,
-    the reports, which it computes from that file just as ``quanvaudio
-    report`` does, and ``failures.csv``. A failed training run or cell is
-    recorded and the sweep goes on. With ``reuse_checkpoints`` an existing
-    checkpoint file is loaded instead of retraining.
+    after the other. Either way this process then writes every table:
+    ``accuracy.csv``, ``confusion.csv``, the reports, which it computes
+    from ``accuracy.csv`` just as ``quanvaudio report`` does, and
+    ``failures.csv``. A failed training run or cell is recorded and the
+    sweep goes on. With ``reuse_checkpoints`` an existing checkpoint file
+    is loaded instead of retraining.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -437,7 +440,6 @@ def run_experiment(
         log.warning("cache_dir %r is ignored: grams are computed in memory", cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "confusion").mkdir(exist_ok=True)
     cfg.to_yaml(out_dir / "config.yaml")
 
     manifest = load_manifest(cfg.data_root, cfg.manifest_csv)
@@ -459,9 +461,12 @@ def run_experiment(
     result = SweepResult(out_dir)
     for seed in seeds:
         result.accuracy_rows += seed.accuracy_rows
+        result.confusion_rows += seed.confusion_rows
         result.failures += seed.failures
     result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
+    result.confusion_rows.sort(key=lambda r: r[:6])
     write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
+    write_csv(out_dir / "confusion.csv", CONFUSION_HEADER, result.confusion_rows)
     if cfg.corruptions and cfg.severities:
         write_reports(
             out_dir, grids_from_accuracy_csv(out_dir / "accuracy.csv"),
@@ -483,9 +488,9 @@ def _run_seed(
     the clean test set first, then every (kind, severity) -- build the
     cell's test grams once and evaluate every trained model on them, so
     each corrupted test file is corrupted and log-Mel'd once per seed,
-    whatever the number of models. Writes the seed's checkpoints,
-    histories and confusion files, and returns its accuracy rows and
-    failures."""
+    whatever the number of models. Writes the seed's checkpoints and
+    histories, and returns its accuracy rows, confusion rows (a count for
+    every pair of ``manifest.labels``) and failures."""
     out_dir = Path(cfg.output_dir)
     instances = cfg.instances()
     cells = [(None, 0)] + [
@@ -570,7 +575,6 @@ def _run_seed(
             for inst, _ in trained:
                 result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
             continue
-        confusion_name = "clean" if kind is None else f"{kind_name}_s{sev}"
         for inst, params in trained:
             try:
                 net = nets[inst.kind]
@@ -586,12 +590,12 @@ def _run_seed(
             result.accuracy_rows.append(
                 [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
             )
-            write_csv(
-                out_dir / "confusion"
-                / f"{inst.model_id}_seed{seed_idx}_{confusion_name}.csv",
-                [str(i) for i in range(manifest.n_classes)],
-                metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist(),
-            )
+            counts = metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist()
+            result.confusion_rows += [
+                [seed_idx, inst.model_id, kind_name, sev, true, pred, counts[i][j]]
+                for i, true in enumerate(manifest.labels)
+                for j, pred in enumerate(manifest.labels)
+            ]
     return result
 
 
@@ -631,11 +635,11 @@ def _run_seeds_in_children(
     """Run every seed of ``cfg`` in a child interpreter (``_seedchild``),
     ``workers`` at a time, and return their results in seed order.
 
-    Each child writes its seed's files itself and sends its accuracy rows
-    and failures back as one JSON document on its standard output; its
-    standard error is this process's. Every child is reaped before this
-    returns or raises: on a failed seed, an interrupt or any other error,
-    the children still running are killed first."""
+    Each child writes its seed's checkpoints and histories itself and
+    sends its rows and failures back as one JSON document on its standard
+    output; its standard error is this process's. Every child is reaped
+    before this returns or raises: on a failed seed, an interrupt or any
+    other error, the children still running are killed first."""
     # here, not at the top: every CLI call imports this module
     import selectors
     import subprocess
@@ -683,7 +687,7 @@ def _child_result(cfg: ExperimentConfig, seed_idx: int, returncode: int,
                   output: bytes) -> SweepResult:
     if returncode == 0:
         doc = json.loads(output)
-        return SweepResult(Path(cfg.output_dir), doc["rows"],
+        return SweepResult(Path(cfg.output_dir), doc["accuracy_rows"], doc["confusion_rows"],
                            [tuple(f) for f in doc["failures"]])
     try:
         reason = "{}: {}".format(*json.loads(output)["error"])

@@ -156,19 +156,28 @@ class MaxPool(Layer):
         out = views[0].copy(order="K")
         for view in views[1:]:
             np.maximum(out, view, out=out)
-        # the last write wins, so each cell ends with its first maximum
-        first = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
-        for p in range(k * k - 1, -1, -1):
-            np.copyto(first, p, where=views[p] == out)
+        # the first maximum's position is the number of leading positions
+        # that are not the maximum; the last one needs no comparison
+        notyet = views[0] != out
+        first = notyet.astype(np.min_scalar_type(k * k - 1))
+        for view in views[1:-1]:
+            notyet &= view != out
+            first += notyet
         self.cache = (first, x.shape)
         return out
 
     def backward(self, dout):
         first, in_shape = self.cache
         k = self.k
+        b, c, h, w = in_shape
+        ho, wo = first.shape[2:]
+        # flat index into dx of each window's top-left corner, plus the
+        # offset of its first maximum; windows do not overlap
+        corner = (np.arange(b * c).reshape(b, c, 1, 1) * (h * w)
+                  + np.arange(ho).reshape(ho, 1) * (k * w) + np.arange(wo) * k)
+        offset = np.array([i * w + j for i in range(k) for j in range(k)])
         dx = np.zeros(in_shape)
-        for p, view in enumerate(self._windows(dx, in_shape[2] // k, in_shape[3] // k)):
-            np.copyto(view, dout, where=first == p)
+        dx.reshape(-1)[corner + offset[first]] = dout
         return dx
 
 

@@ -11,7 +11,7 @@ import pytest
 from quanvaudio.audio import load_wav, write_wav
 from quanvaudio.cli import main
 from quanvaudio.corrupt import SEVERITY_TABLE, CorruptionKind, speed_by
-from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig, ManifestError, clean_gram
+from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig, clean_gram
 from quanvaudio.qsim import build_circuit
 from quanvaudio.quanv import quanv_forward
 from quanvaudio.tensorio import load_tensor
@@ -56,15 +56,25 @@ def test_featurize_quanv_maps(toy_root, tmp_path):
     assert payload == np.ascontiguousarray(expected, dtype="<f8").tobytes()
 
 
-def test_featurize_names_missing_manifest_columns(toy_root, tmp_path):
+def _one_error_line(capsys, command: str) -> str:
+    """The message of the one `quanvaudio <command>: error:` line on stderr."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    prefix = f"quanvaudio {command}: error: "
+    assert err.startswith(prefix), err
+    return err[len(prefix):-1]
+
+
+def test_featurize_names_missing_manifest_columns(toy_root, tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(f"file,label\n{next(toy_root.rglob('*.wav'))},low\n")
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(manifest))}: no path column"):
-        main(["featurize", "--in", str(toy_root), "--out", str(tmp_path / "grams"),
-              "--manifest", str(manifest)])
+    assert main(["featurize", "--in", str(toy_root), "--out", str(tmp_path / "grams"),
+                 "--manifest", str(manifest)]) == 2
+    message = _one_error_line(capsys, "featurize")
+    assert re.match(f"^{re.escape(str(manifest))}: no path column", message)
 
 
-def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path):
+def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path, capsys):
     # manifest paths outside --in are named by basename: a/x.wav and b/x.wav
     # would both write x.gram
     sources = sorted((toy_root / "low").glob("*.wav"))[:2]
@@ -75,12 +85,20 @@ def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path):
     manifest.write_text(f"path,label\n{tmp_path / 'a' / 'x.wav'},low\n"
                         f"{tmp_path / 'b' / 'x.wav'},low\n")
     out = tmp_path / "grams"
-    with pytest.raises(ValueError) as info:
-        main(["featurize", "--in", str(toy_root), "--out", str(out),
-              "--manifest", str(manifest)])
-    assert str(tmp_path / "a" / "x.wav") in str(info.value)
-    assert str(tmp_path / "b" / "x.wav") in str(info.value)
+    assert main(["featurize", "--in", str(toy_root), "--out", str(out),
+                 "--manifest", str(manifest)]) == 2
+    message = _one_error_line(capsys, "featurize")
+    assert str(tmp_path / "a" / "x.wav") in message
+    assert str(tmp_path / "b" / "x.wav") in message
     assert not list(out.rglob("*.gram"))
+
+
+def test_config_without_data_root_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"output_dir: {tmp_path / 'results'}\n")
+    assert main(["train", "--config", str(config)]) == 2
+    assert _one_error_line(capsys, "train") == f"{config}: missing config key 'data_root'"
+    assert not (tmp_path / "results").exists()
 
 
 def test_corrupt_tree_with_sidecar(toy_root, tmp_path):
@@ -161,10 +179,10 @@ def test_train_then_evaluate(cli_config):
     assert kinds == {"clean"} | {k.value for k in CorruptionKind}
 
 
-def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tmp_path):
+def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tmp_path, capsys):
     """`train --model` and `evaluate --model` run the sweep of a config
     narrowed to that model, so they write the full sweep's checkpoints,
-    histories and accuracy rows of that model."""
+    histories, accuracy rows and confusion rows of that model."""
     def config(name):
         cfg = ExperimentConfig(
             data_root=str(toy_root), output_dir=str(tmp_path / name),
@@ -175,8 +193,8 @@ def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tm
         cfg.to_yaml(tmp_path / f"{name}.yaml")
         return Path(cfg.output_dir), str(tmp_path / f"{name}.yaml")
 
-    def rows(out):
-        with open(out / "accuracy.csv") as fh:
+    def rows(out, table="accuracy.csv"):
+        with open(out / table) as fh:
             return list(csv.DictReader(fh))
 
     full, full_yaml = config("full")
@@ -186,7 +204,8 @@ def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tm
     assert [(r["model"], r["kind"]) for r in rows(one)] == [("qnn_basic_d1", "clean")] * 2
     assert not list(one.glob("report*.csv"))  # no corrupted cell, no reports
     assert main(["evaluate", "--model", "qnn_basic_d1", "--config", one_yaml]) == 0
-    assert rows(one) == [r for r in rows(full) if r["model"] == "qnn_basic_d1"]
+    for table in ("accuracy.csv", "confusion.csv"):
+        assert rows(one, table) == [r for r in rows(full, table) if r["model"] == "qnn_basic_d1"]
     assert len(rows(one)) == 2 * (1 + 2)
     # config.yaml records the narrowed config, which is what ran
     assert (ExperimentConfig.from_yaml(one / "config.yaml")
@@ -199,8 +218,9 @@ def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tm
         assert (one / name).read_bytes() == (full / name).read_bytes(), name
 
     nope, nope_yaml = config("nope")
-    with pytest.raises(ValueError, match="'nope' is not configured"):
-        main(["train", "--model", "nope", "--config", nope_yaml])
+    capsys.readouterr()
+    assert main(["train", "--model", "nope", "--config", nope_yaml]) == 2
+    assert "'nope' is not configured" in _one_error_line(capsys, "train")
     assert not nope.exists()
 
 

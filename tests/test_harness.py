@@ -274,9 +274,40 @@ def test_mini_sweep_artifacts(mini_result):
     assert [len(channel) for channel in terms["channels"]] == [1, 1, 1, 1]
     assert (out / "checkpoint_cnn_base_seed0.bin").exists()
     assert (out / "history_qnn_basic_d1_seed0.csv").exists()
-    assert any((out / "confusion").glob("*_clean.csv"))
+    with open(out / "confusion.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == harness.CONFUSION_HEADER
+    assert not (out / "confusion").exists()
     # partial corruption coverage -> no complete grids -> problems recorded
     assert (out / "report_problems.csv").exists()
+
+
+def test_mini_sweep_confusion_counts_match_accuracy(mini_result):
+    """Every (seed, model, kind, severity) of accuracy.csv has one
+    confusion.csv count per pair of the manifest's labels; the counts sum
+    to the test-set size and their trace over it is the cell's accuracy."""
+    cfg, result = mini_result
+    manifest = load_manifest(cfg.data_root, cfg.manifest_csv)
+    cells: dict[tuple, dict] = {}
+    with open(result.out_dir / "confusion.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    for rec in records:
+        key = (int(rec["seed"]), rec["model"], rec["kind"], int(rec["severity"]))
+        cells.setdefault(key, {})[(rec["true"], rec["pred"])] = int(rec["count"])
+    with open(result.out_dir / "accuracy.csv", newline="") as fh:
+        accuracy = {
+            (int(r["seed"]), r["model"], r["kind"], int(r["severity"])): float(r["accuracy"])
+            for r in csv.DictReader(fh)
+        }
+    assert set(cells) == set(accuracy)
+    pairs = {(t, p) for t in manifest.labels for p in manifest.labels}
+    assert len(records) == len(cells) * len(pairs)  # no pair twice
+    for (seed, model, kind, sev), counts in cells.items():
+        _, _, test = split(manifest, cfg.split_ratios,
+                           derive_seed(cfg.master_seed, f"{seed}/split"))
+        assert set(counts) == pairs
+        assert sum(counts.values()) == len(test)
+        trace = sum(counts[(label, label)] for label in manifest.labels)
+        assert trace / len(test) == accuracy[(seed, model, kind, sev)]
 
 
 def test_rerun_reuses_checkpoints(mini_result, tmp_path):
@@ -487,7 +518,8 @@ print("heap pad:", os.environ.get("MALLOC_TOP_PAD_"),
              for tree in trees]
     assert files[0] == files[1]
     assert Path("checkpoint_qnn_basic_d1_seed1.bin") in files[0]
-    assert Path("confusion/cnn_base_seed1_speed_variation_s2.csv") in files[0]
+    assert Path("confusion.csv") in files[0]
+    assert not any((tree / "confusion").exists() for tree in trees)
     differ = [str(f) for f in files[0]
               if (trees[0] / f).read_bytes() != (trees[1] / f).read_bytes()]
     assert differ == ["config.yaml"]

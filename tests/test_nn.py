@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quanvaudio import nn
 from quanvaudio.nn import (
@@ -74,6 +75,36 @@ class WindowMaxPool(Layer):
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(b, c, ho * k, wo * k)
         )
+        return dx
+
+
+class CopytoMaxPool(MaxPool):
+    """The strided-view MaxPool with masked copies: the first maximum's
+    position written where each view equals the max, last position first,
+    and the gradient copied into dx's views under that position."""
+
+    def forward(self, x):
+        k = self.k
+        h, w = x.shape[2:]
+        if h < k or w < k:
+            raise ValueError(f"spatial dims {h}x{w} smaller than pool {k}")
+        views = self._windows(x, h // k, w // k)
+        out = views[0].copy(order="K")
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        # the last write wins, so each cell ends with its first maximum
+        first = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        for p in range(k * k - 1, -1, -1):
+            np.copyto(first, p, where=views[p] == out)
+        self.cache = (first, x.shape)
+        return out
+
+    def backward(self, dout):
+        first, in_shape = self.cache
+        k = self.k
+        dx = np.zeros(in_shape)
+        for p, view in enumerate(self._windows(dx, in_shape[2] // k, in_shape[3] // k)):
+            np.copyto(view, dout, where=first == p)
         return dx
 
 
@@ -295,6 +326,41 @@ def test_maxpool_matches_window_oracle(batch, channels, k, extra_h, extra_w, fil
     np.testing.assert_array_equal(out, oracle.forward(x))
     dout = rng.normal(size=out.shape)
     np.testing.assert_array_equal(fast.backward(dout), oracle.backward(dout))
+
+
+def _assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ here."""
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# integer values (many ties) and both signed zeros
+_TIED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_maxpool_matches_masked_copy_oracle_bit_for_bit(data):
+    """MaxPool's output, first-maximum index and gradient equal the
+    masked-copy oracle's bytes, on tie-rich inputs whose trailing rows and
+    columns the pool drops, with windows that may hold one value only."""
+    k = data.draw(st.sampled_from([1, 2, 3]), label="k")
+    ho, wo = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+             ho * k + data.draw(st.integers(0, k - 1)), wo * k + data.draw(st.integers(0, k - 1)))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=_TIED), label="x")
+    if data.draw(st.booleans(), label="equal_windows"):  # each window its corner's value
+        corners = x[:, :, : ho * k : k, : wo * k : k]
+        x[:, :, : ho * k, : wo * k] = np.repeat(np.repeat(corners, k, axis=2), k, axis=3)
+    if data.draw(st.booleans(), label="channel_last"):  # the layout Conv2d returns
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    fast, oracle = MaxPool(k), CopytoMaxPool(k)
+    out = fast.forward(x)
+    _assert_same_bits(out, oracle.forward(x))
+    _assert_same_bits(fast.cache[0], oracle.cache[0])
+    dout = data.draw(hnp.arrays(np.float64, out.shape, elements=_TIED | st.floats(-1e3, 1e3)),
+                     label="dout")
+    _assert_same_bits(fast.backward(dout), oracle.backward(dout))
 
 
 @given(
