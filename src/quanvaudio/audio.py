@@ -99,8 +99,7 @@ class MelBank:
         n_bins = weights.shape[1]
         first = nonzero.argmax(axis=1)
         last = n_bins - 1 - nonzero[:, ::-1].argmax(axis=1)
-        # a filter narrower than the bin spacing can be all zero
-        width = int(np.where(nonzero.any(axis=1), last - first + 1, 1).max())
+        width = int((last - first + 1).max())
         start = np.minimum(first, n_bins - width)
         cols = start[:, None] + np.arange(width)
         object.__setattr__(self, "weights", weights)
@@ -239,15 +238,13 @@ def _mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_bank(sample_rate: int, n_mels: int = N_MELS) -> MelBank:
-    """Slaney-style triangular filters, area-normalized. Memoised for the
-    16 most recent argument tuples; every caller shares a bank, so its
+def mel_bank(sample_rate: int) -> MelBank:
+    """N_MELS Slaney-style triangular filters, area-normalized. Memoised
+    for the 16 most recent rates; every caller shares a bank, so its
     arrays are read-only."""
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    if n_mels > N_FFT // 2:
-        raise ValueError(f"n_mels={n_mels} too large for an {N_FFT}-point FFT")
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2.0), N_MELS + 2)
     hz_pts = _mel_to_hz(mel_pts)
     bin_freqs = np.linspace(0.0, sample_rate / 2.0, 1 + N_FFT // 2)
 

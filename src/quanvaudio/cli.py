@@ -8,6 +8,7 @@ config; the other subcommands expose the individual stages.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import replace
@@ -99,14 +100,6 @@ def _sweep(args, *, clean_only=False, reuse_checkpoints=False) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    return _sweep(args, clean_only=True)
-
-
-def cmd_evaluate(args) -> int:
-    return _sweep(args, reuse_checkpoints=True)
-
-
 def cmd_report(args) -> int:
     grids = harness.grids_from_accuracy_csv(args.accuracy)
     if not grids:
@@ -118,10 +111,6 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problems = harness.write_reports(out_dir, grids, model_ids, n_seeds)
     return 1 if problems else 0
-
-
-def cmd_sweep(args) -> int:
-    return _sweep(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train models on the clean splits")
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None, help="restrict to one model id")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=functools.partial(_sweep, clean_only=True))
 
     p = sub.add_parser("evaluate", help="evaluate saved checkpoints on all cells")
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=functools.partial(_sweep, reuse_checkpoints=True))
 
     p = sub.add_parser("report", help="CE/RCE/mCE/RmCE from an accuracy CSV")
     p.add_argument("--accuracy", required=True)
@@ -166,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full multi-seed robustness pipeline")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=_sweep)
     return parser
 
 

@@ -296,7 +296,11 @@ class ExperimentConfig:
         import yaml
 
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:  # a message of several lines, made one
+                problem = " ".join(line.strip() for line in str(exc).splitlines())
+                raise ValueError(f"{path}: not valid YAML: {problem}") from exc
         try:
             return ExperimentConfig.from_dict(doc)
         except ValueError as exc:
@@ -413,6 +417,22 @@ class SweepResult:
         self.failures.append((cell, type(exc).__name__, str(exc)))
 
 
+def _rows_not_scored(path: Path, header: list[str], scored: set[tuple[int, str]]) -> list[list]:
+    """The rows of the table at ``path``, laid out as ``header``, whose
+    (seed, model) is not in ``scored``: what earlier runs into the same
+    directory wrote for other seeds or models. Seed and severity are read
+    back as ints, so these rows sort as the run's own do."""
+    if not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: its header is not {','.join(header)}")
+        sev = header.index("severity")
+        rows = [[int(r[0]), *r[1:sev], int(r[sev]), *r[sev + 1:]] for r in reader]
+    return [r for r in rows if (r[0], r[1]) not in scored]
+
+
 def run_experiment(
     cfg: ExperimentConfig, *, reuse_checkpoints: bool = False, jobs: int | None = None
 ) -> SweepResult:
@@ -430,9 +450,13 @@ def run_experiment(
     after the other. Either way this process then writes every table:
     ``accuracy.csv``, ``confusion.csv``, the reports, which it computes
     from ``accuracy.csv`` just as ``quanvaudio report`` does, and
-    ``failures.csv``. A failed training run or cell is recorded and the
-    sweep goes on. With ``reuse_checkpoints`` an existing checkpoint file
-    is loaded instead of retraining.
+    ``failures.csv``. The tables keep what earlier runs into
+    ``cfg.output_dir`` wrote for the (seed, model) pairs this run does not
+    score and replace the rest, and the reports cover every model of the
+    merged ``accuracy.csv``; so per-model runs into one directory add up to
+    the run of the whole config. A failed training run or cell is recorded
+    and the sweep goes on. With ``reuse_checkpoints`` an existing
+    checkpoint file is loaded instead of retraining.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -463,14 +487,19 @@ def run_experiment(
         result.accuracy_rows += seed.accuracy_rows
         result.confusion_rows += seed.confusion_rows
         result.failures += seed.failures
-    result.accuracy_rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
-    result.confusion_rows.sort(key=lambda r: r[:6])
-    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, result.accuracy_rows)
-    write_csv(out_dir / "confusion.csv", CONFUSION_HEADER, result.confusion_rows)
+    scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
+    accuracy = result.accuracy_rows + _rows_not_scored(out_dir / "accuracy.csv",
+                                                       ACCURACY_HEADER, scored)
+    confusion = result.confusion_rows + _rows_not_scored(out_dir / "confusion.csv",
+                                                         CONFUSION_HEADER, scored)
+    accuracy.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
+    confusion.sort(key=lambda r: r[:6])
+    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, accuracy)
+    write_csv(out_dir / "confusion.csv", CONFUSION_HEADER, confusion)
     if cfg.corruptions and cfg.severities:
         write_reports(
             out_dir, grids_from_accuracy_csv(out_dir / "accuracy.csv"),
-            [i.model_id for i in instances], cfg.n_seeds,
+            sorted({model for _, model in scored} | {r[1] for r in accuracy}), cfg.n_seeds,
         )
     if result.failures:
         result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
@@ -742,6 +771,8 @@ def write_reports(
     )
     if problems:
         write_csv(out_dir / "report_problems.csv", ["problem"], [[p] for p in problems])
+    else:  # an earlier report's problems no longer hold
+        (out_dir / "report_problems.csv").unlink(missing_ok=True)
     return problems
 
 

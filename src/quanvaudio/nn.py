@@ -214,7 +214,6 @@ class Network:
 
     def __init__(self, layers: list[Layer], in_shape: tuple[int, ...]):
         self.layers = layers
-        self.in_shape = in_shape
         x = np.zeros((1, *in_shape))
         self.shapes = [x.shape[1:]]
         for i, layer in enumerate(layers):
@@ -326,9 +325,10 @@ class Adam:
     """Adam with bias correction; weight decay is coupled L2 (added to the
     gradient before the moment updates)."""
 
-    def __init__(self, cfg: TrainConfig, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -337,8 +337,8 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         if not self.m:  # the moments and two scratch buffers, allocated once
             self.m = {name: np.zeros_like(w) for name, w in params.items()}
             self.v = {name: np.zeros_like(w) for name, w in params.items()}
@@ -351,18 +351,18 @@ class Adam:
             # v = b2 v + (1 - b2) g**2;  w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             np.multiply(cfg.weight_decay, w, out=g)
             np.add(grads[name], g, out=g)
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=tmp)
+            m *= self.BETA1
+            np.multiply(1.0 - self.BETA1, g, out=tmp)
             m += tmp
-            v *= self.beta2
+            v *= self.BETA2
             np.square(g, out=tmp)
-            np.multiply(1.0 - self.beta2, tmp, out=tmp)
+            np.multiply(1.0 - self.BETA2, tmp, out=tmp)
             v += tmp
             np.divide(m, bc1, out=g)
             np.multiply(cfg.lr, g, out=g)
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            np.add(tmp, self.eps, out=tmp)
+            np.add(tmp, self.EPS, out=tmp)
             np.divide(g, tmp, out=g)
             w -= g
 

@@ -95,12 +95,6 @@ class CircuitSpec:
     def __hash__(self) -> int:
         return self._hash
 
-    def n_rotations(self) -> int:
-        return sum(1 for g in self.gates if g.kind in ROTATION_KINDS)
-
-    def n_cnots(self) -> int:
-        return sum(1 for g in self.gates if g.kind == GateKind.CNOT)
-
     def to_json(self) -> str:
         doc = {
             "template": self.template.value,

@@ -22,14 +22,14 @@ def save_tensor(path: str | Path, array: np.ndarray, layout: str, **extra) -> No
         fh.write(arr.tobytes())
 
 
-def load_tensor(path: str | Path, expect_layout: str | None = None) -> tuple[np.ndarray, dict]:
+def load_tensor(path: str | Path, expect_layout: str) -> tuple[np.ndarray, dict]:
     """The array of a tensor file and its header. A payload longer or
     shorter than the header's ``dims`` is an ``IOError``."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         if header.get("dtype") != "f64":
             raise ValueError(f"{path}: unsupported tensor header {header}")
-        if expect_layout is not None and header.get("layout") != expect_layout:
+        if header.get("layout") != expect_layout:
             raise ValueError(
                 f"{path}: expected layout {expect_layout}, found {header.get('layout')}"
             )

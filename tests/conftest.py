@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from quanvaudio.qsim import ROTATION_KINDS, CircuitSpec, GateKind
 from quanvaudio.toydata import make_toy_dataset
+
+
+def gate_counts(spec: CircuitSpec) -> tuple[int, int]:
+    """(rotations, CNOTs) of a circuit."""
+    rotations = sum(1 for g in spec.gates if g.kind in ROTATION_KINDS)
+    return rotations, sum(1 for g in spec.gates if g.kind == GateKind.CNOT)
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> np.ndarray:

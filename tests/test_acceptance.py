@@ -44,7 +44,7 @@ from quanvaudio.qsim import (
 )
 from quanvaudio.quanv import quanv_forward
 from quanvaudio.toydata import make_toy_dataset
-from conftest import random_state
+from conftest import gate_counts, random_state
 
 DEPTHS = (1, 4, 10, 15, 20, 25, 30, 50)
 
@@ -81,17 +81,17 @@ def test_simulator_suite():
 
         for depth in DEPTHS:
             beqc = build_beqc(4, depth, seed=1)
-            assert beqc.n_rotations() == 4 * depth and beqc.n_cnots() == 4 * depth
+            assert gate_counts(beqc) == (4 * depth, 4 * depth)
             seqc = build_seqc(4, depth, seed=1)
-            assert seqc.n_rotations() == 12 * depth and seqc.n_cnots() == 4 * depth
+            assert gate_counts(seqc) == (12 * depth, 4 * depth)
 
         d = 10
-        counts = np.array([build_rqc(4, d, seed).n_cnots() for seed in range(10**4)])
+        counts = np.array([gate_counts(build_rqc(4, d, seed))[1] for seed in range(10**4)])
         p = 0.3 / 0.7
         per_layer_var = 4 * p * (1 - p)
         sigma_mean = math.sqrt(d * per_layer_var / 10**4)
         assert abs(counts.mean() - 12 * d / 7) < 3 * sigma_mean
-        assert all(build_rqc(4, d, s).n_rotations() == 4 * d for s in range(50))
+        assert all(gate_counts(build_rqc(4, d, s))[0] == 4 * d for s in range(50))
 
 
 def test_quanvolution_anchors():

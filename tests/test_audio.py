@@ -289,16 +289,12 @@ def test_mel_bank_structure():
     assert np.all(np.diff(bank.weights.argmax(axis=1)) > 0)  # each filter peaks higher
     with pytest.raises(ValueError):
         mel_bank(0)
-    with pytest.raises(ValueError):
-        mel_bank(SR, n_mels=300)
 
 
-# 16 kHz with 200 mels has three all-zero filters, narrower than a bin
 @pytest.mark.parametrize("sr, n_mels, width",
-                         [(8000, N_MELS, 28), (16000, N_MELS, 36), (48000, N_MELS, 48),
-                          (16000, 200, 8)])
+                         [(8000, N_MELS, 28), (16000, N_MELS, 36), (48000, N_MELS, 48)])
 def test_mel_bands_hold_every_nonzero_weight(sr, n_mels, width):
-    bank = mel_bank(sr, n_mels)
+    bank = mel_bank(sr)
     assert bank.band_weights.shape == (n_mels, width)
     dense = np.zeros_like(bank.weights)
     for m, start in enumerate(bank.band_start):
@@ -331,15 +327,13 @@ def test_mel_bank_is_memoised_and_read_only():
 @settings(max_examples=60, deadline=None)
 @given(
     sr=st.integers(8000, 48000),
-    n_mels=st.sampled_from([N_MELS, 200]),
     frames=st.integers(1, 150),
     zero_bins=st.lists(st.integers(0, N_FFT // 2), max_size=40),
     zero_frames=st.lists(st.integers(0, 149), max_size=10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_banded_projection_matches_dense_product(sr, n_mels, frames, zero_bins, zero_frames,
-                                                seed):
-    bank = mel_bank(sr, n_mels)
+def test_banded_projection_matches_dense_product(sr, frames, zero_bins, zero_frames, seed):
+    bank = mel_bank(sr)
     rng = np.random.default_rng(seed)
     # power over many decades, as a spectrum with silent bins and frames has
     power = rng.uniform(0.0, 1.0, (1 + N_FFT // 2, frames)) * 10.0 ** rng.uniform(-12, 4, frames)

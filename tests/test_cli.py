@@ -101,6 +101,14 @@ def test_config_without_data_root_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+def test_config_that_is_not_yaml_is_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("data_root: [\n")
+    assert main(["train", "--config", str(config)]) == 2
+    message = _one_error_line(capsys, "train")
+    assert message.startswith(f"{config}: not valid YAML: while parsing a flow node"), message
+
+
 def test_corrupt_tree_with_sidecar(toy_root, tmp_path):
     out = tmp_path / "corrupted"
     code = main([
@@ -222,6 +230,33 @@ def test_one_model_train_then_evaluate_writes_what_the_sweep_writes(toy_root, tm
     assert main(["train", "--model", "nope", "--config", nope_yaml]) == 2
     assert "'nope' is not configured" in _one_error_line(capsys, "train")
     assert not nope.exists()
+
+
+def test_per_model_runs_into_one_directory_write_the_whole_config_tables(toy_root, tmp_path):
+    """`train` then `evaluate --model` for each model in turn, into one
+    directory, leave the tables of one `evaluate` of the whole config:
+    each run replaces its own model's rows and keeps the others'."""
+    def config(name):
+        cfg = ExperimentConfig(
+            data_root=str(toy_root), output_dir=str(tmp_path / name),
+            models=("cnn_base", "qnn_basic"), depths=(1,),
+            n_seeds=2, lr=1e-3, max_epochs=2, patience=1, batch_size=8,
+        )
+        cfg.to_yaml(tmp_path / f"{name}.yaml")
+        return Path(cfg.output_dir), str(tmp_path / f"{name}.yaml")
+
+    whole, whole_yaml = config("whole")
+    assert main(["evaluate", "--config", whole_yaml]) == 0
+    one, one_yaml = config("one")
+    for model in ("qnn_basic_d1", "cnn_base"):  # the baseline last: no report until then
+        assert main(["train", "--model", model, "--config", one_yaml]) == 0
+        assert main(["evaluate", "--model", model, "--config", one_yaml]) == 0
+    for name in ("accuracy.csv", "confusion.csv", "report.csv", "report_per_seed.csv"):
+        assert (one / name).read_bytes() == (whole / name).read_bytes(), name
+    assert not (one / "report_problems.csv").exists()
+    with open(one / "report.csv") as fh:
+        summary = [r["model"] for r in csv.DictReader(fh) if r["kind"] == "mCE/RmCE"]
+    assert summary == ["cnn_base", "qnn_basic_d1"]
 
 
 def test_sweep_exit_code(cli_config):

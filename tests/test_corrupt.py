@@ -421,6 +421,15 @@ def test_resample_ratio_matches_reference_resample_poly(n, ratio, seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("half", [10, 70, 1000, 10_000])
+def test_kaiser_window_matches_np_i0(half):
+    # the low-pass's Kaiser window, with the np.i0 window as the oracle for its I0 series
+    beta = dsp._KAISER_BETA
+    x = beta * np.sqrt(1.0 - (np.arange(-half, 1) / half) ** 2.0)
+    np.testing.assert_allclose(dsp._i0(x) / dsp._i0(beta), np.i0(x) / np.i0(beta),
+                               rtol=1e-12, atol=0)
+
+
 def test_resample_ratio_rounding_error_bound():
     # the bound stated in resample_ratio's docstring, over a dense grid of
     # the pitch-shift draw range, plus the draws closest to the worst case

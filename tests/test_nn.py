@@ -115,7 +115,7 @@ def _relu_then_pool(model):
     i = next(n for n, layer in enumerate(layers) if isinstance(layer, MaxPool))
     assert isinstance(layers[i + 1], ReLU)
     layers[i : i + 2] = [ReLU(), WindowMaxPool(layers[i].k)]
-    return Network(layers, model.in_shape)
+    return Network(layers, model.shapes[0])
 
 
 def _chain_backward(model, dout):
@@ -375,7 +375,7 @@ def test_pool_before_relu_matches_relu_before_pool(kind, batch, inputs, seed):
     gradient of Conv2d -> ReLU -> MaxPool, bit for bit."""
     rng = RNG(seed)
     model = build_model(kind, 3, seed=seed % 1000)
-    shape = (batch,) + model.in_shape
+    shape = (batch,) + model.shapes[0]
     x = rng.uniform(0, 1, shape)
     if inputs == "constant":  # flat regions: tied pooling windows
         x[:, :, : shape[2] // 2] = 0.5
@@ -400,7 +400,7 @@ def test_network_backward_builds_no_input_gradient(monkeypatch):
     """Network.backward fills the same parameter gradients as a full chain
     but asks layer 0 for no dx."""
     model = build_model("qnn_basic", 2, seed=3)
-    x = RNG(4).uniform(0, 1, (3,) + model.in_shape)
+    x = RNG(4).uniform(0, 1, (3,) + model.shapes[0])
     _, dlogits = softmax_cross_entropy(model.forward(x), np.array([0, 1, 1]))
     conv, calls = model.layers[0], []
     real_backward = conv.backward
@@ -422,7 +422,7 @@ def test_network_backward_builds_no_input_gradient(monkeypatch):
 
 def test_evaluate_keeps_no_batch_sized_arrays():
     model = build_model("cnn_base", 2, seed=5)
-    x = RNG(6).uniform(0, 1, (256,) + model.in_shape)
+    x = RNG(6).uniform(0, 1, (256,) + model.shapes[0])
     y = np.arange(256) % 2
     model.forward(x[:8])  # a training-style forward leaves caches behind
     assert any(layer.cache is not None for layer in model.layers)
@@ -717,7 +717,10 @@ def test_tensor_file_of_wrong_length_names_the_file(tmp_path, resize):
     ckpt, gram = tmp_path / "ckpt.bin", tmp_path / "g.gram"
     save_checkpoint(ckpt, "cnn_base", 2, build_model("cnn_base", 2, seed=26).get_params())
     save_tensor(gram, RNG(27).uniform(0, 1, (40, 128)), layout="HW")
-    for path, load in ((ckpt, load_checkpoint), (gram, load_tensor)):
+    def load_gram(path):
+        return load_tensor(path, expect_layout="HW")
+
+    for path, load in ((ckpt, load_checkpoint), (gram, load_gram)):
         data = path.read_bytes()
         path.write_bytes(data[:-8] if resize == "truncated" else data + bytes(8))
         with pytest.raises(IOError, match=re.escape(str(path))):

@@ -22,7 +22,7 @@ from quanvaudio.qsim import (
     expectation_z_batch,
     run_circuit_batch,
 )
-from conftest import random_state
+from conftest import gate_counts, random_state
 
 # ---------------------------------------------------------------------------
 # Independent oracle: build the full 2^n x 2^n unitary by explicit kron /
@@ -151,7 +151,7 @@ def test_zero_angle_beqc_fixes_all_zero_state():
 
 def test_beqc_structure_d1():
     spec = build_beqc(4, 1, seed=5)
-    assert spec.n_rotations() == 4 and spec.n_cnots() == 4
+    assert gate_counts(spec) == (4, 4)
     rotations = [g for g in spec.gates if g.kind == GateKind.RX]
     assert [g.wires for g in rotations] == [(0,), (1,), (2,), (3,)]
     cnots = [g for g in spec.gates if g.kind == GateKind.CNOT]
@@ -161,13 +161,12 @@ def test_beqc_structure_d1():
 @pytest.mark.parametrize("depth", [1, 3, 4, 8])
 def test_beqc_counts(depth):
     spec = build_beqc(4, depth, seed=1)
-    assert spec.n_rotations() == 4 * depth
-    assert spec.n_cnots() == 4 * depth
+    assert gate_counts(spec) == (4 * depth, 4 * depth)
 
 
 def test_seqc_structure_and_counts():
     spec = build_seqc(4, 1, seed=2)
-    assert spec.n_rotations() == 12 and spec.n_cnots() == 4
+    assert gate_counts(spec) == (12, 4)
     cnots = [g for g in spec.gates if g.kind == GateKind.CNOT]
     assert [g.wires for g in cnots] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     # per-qubit triple is Rz, Ry, Rz in order
@@ -185,8 +184,7 @@ def test_seqc_structure_and_counts():
 def test_seqc_counts_exact_at_every_depth(depth):
     # Includes depths where a naive (layer mod n) offset would self-target.
     spec = build_seqc(4, depth, seed=9)
-    assert spec.n_rotations() == 12 * depth
-    assert spec.n_cnots() == 4 * depth
+    assert gate_counts(spec) == (12 * depth, 4 * depth)
     for g in spec.gates:
         if g.kind == GateKind.CNOT:
             assert g.wires[0] != g.wires[1]
@@ -195,7 +193,7 @@ def test_seqc_counts_exact_at_every_depth(depth):
 def test_rqc_rotation_count_and_validity():
     for seed in range(20):
         spec = build_rqc(4, 3, seed)
-        assert spec.n_rotations() == 12
+        assert gate_counts(spec)[0] == 12
         for g in spec.gates:
             if g.kind == GateKind.CNOT:
                 assert g.wires[0] != g.wires[1]
@@ -203,7 +201,7 @@ def test_rqc_rotation_count_and_validity():
 
 def test_rqc_cnot_mean_close_to_ratio():
     d = 1
-    counts = [build_rqc(4, d, seed).n_cnots() for seed in range(2000)]
+    counts = [gate_counts(build_rqc(4, d, seed))[1] for seed in range(2000)]
     assert abs(np.mean(counts) - 12 * d / 7) < 0.15
 
 
