@@ -52,14 +52,17 @@ def _clamp_unit(values: np.ndarray) -> np.ndarray:
 
 def _encode(patches: np.ndarray) -> np.ndarray:
     """Batched angle encoding: (P, 4) patch values -> (P, 16) real product
-    states; patch value i drives qubit i (little-endian amplitude index)."""
+    states; patch value i drives qubit i (little-endian amplitude index).
+    The states are built amplitude-major, (16, P) with the patch axis
+    innermost so each product runs over P contiguous values, then copied
+    once to (P, 16)."""
     half = 0.5 * np.pi * _clamp_unit(patches)
-    c, s = np.cos(half), np.sin(half)
-    states = np.ones((patches.shape[0], 1))
+    c, s = np.cos(half).T, np.sin(half).T  # (4, P)
+    states = np.ones((1, patches.shape[0]))
     for q in reversed(range(PATCH_QUBITS)):  # most significant qubit first
-        ket = np.stack([c[:, q], s[:, q]], axis=1)
-        states = (states[:, :, None] * ket[:, None, :]).reshape(patches.shape[0], -1)
-    return states
+        ket = np.stack([c[q], s[q]])
+        states = (states[:, None, :] * ket[None, :, :]).reshape(-1, patches.shape[0])
+    return np.ascontiguousarray(states.T)
 
 
 @functools.lru_cache(maxsize=64)

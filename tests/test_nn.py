@@ -1,6 +1,6 @@
 """Network and optimizer: finite-difference gradient oracles, layer
-golden values, exact oracles for the fast layer paths, Adam scalar
-reference, shape chain, and training loop."""
+golden values, exact oracles for the fast layer and Adam paths, Adam
+scalar reference, shape chain, and training loop."""
 
 import json
 import re
@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -106,6 +107,83 @@ class CopytoMaxPool(MaxPool):
         for p, view in enumerate(self._windows(dx, in_shape[2] // k, in_shape[3] // k)):
             np.copyto(view, dout, where=first == p)
         return dx
+
+
+class WindowConv2d(Conv2d):
+    """The window-transpose Conv2d: im2col as a contiguous copy of the
+    transposed sliding windows, the weight gradient as one GEMM over every
+    row of the batch, and dx as a k*k loop of strided adds."""
+
+    def forward(self, x):
+        s, k = self.stride, self.kernel
+        b = x.shape[0]
+        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        _, c, ho, wo = win.shape[:4]
+        col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * k * k)
+        self.cache = (col, x.shape)
+        f = self.params["W"].shape[0]
+        out = col @ self.params["W"].reshape(f, -1).T
+        out += self.params["b"]
+        return out.reshape(b, ho, wo, f).transpose(0, 3, 1, 2)
+
+    def backward(self, dout, need_dx=True):
+        s, k = self.stride, self.kernel
+        col, x_shape = self.cache
+        dout = np.ascontiguousarray(dout)
+        b, f, ho, wo = dout.shape
+        c = x_shape[1]
+        wmat = self.params["W"].reshape(f, -1)
+        dout_mat = dout.reshape(b, f, ho * wo).transpose(0, 2, 1)
+        self.grads["W"] = (
+            dout_mat.reshape(-1, f).T @ col.reshape(-1, c * k * k)
+        ).reshape(self.params["W"].shape)
+        self.cache = None
+        self.grads["b"] = dout.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
+        dwin = (dout_mat @ wmat).reshape(b, ho, wo, c, k, k)
+        dx = np.zeros(x_shape)
+        for i in range(k):
+            for j in range(k):
+                dx[:, :, i : i + s * ho : s, j : j + s * wo : s] += dwin[
+                    ..., i, j
+                ].transpose(0, 3, 1, 2)
+        return dx
+
+
+class UnblockedAdam(Adam):
+    """Adam's 14-op in-place update over each whole parameter at once,
+    through two scratch buffers the size of the largest parameter."""
+
+    def step(self, params, grads):
+        cfg = self.cfg
+        self.t += 1
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
+        if not self.m:
+            self.m = {name: np.zeros_like(w) for name, w in params.items()}
+            self.v = {name: np.zeros_like(w) for name, w in params.items()}
+            size = max(w.size for w in params.values())
+            self._scratch = (np.empty(size), np.empty(size))
+        for name, w in params.items():
+            m, v = self.m[name], self.v[name]
+            g, tmp = (buf[: w.size].reshape(w.shape) for buf in self._scratch)
+            np.multiply(cfg.weight_decay, w, out=g)
+            np.add(grads[name], g, out=g)
+            m *= self.BETA1
+            np.multiply(1.0 - self.BETA1, g, out=tmp)
+            m += tmp
+            v *= self.BETA2
+            np.square(g, out=tmp)
+            np.multiply(1.0 - self.BETA2, tmp, out=tmp)
+            v += tmp
+            np.divide(m, bc1, out=g)
+            np.multiply(cfg.lr, g, out=g)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, self.EPS, out=tmp)
+            np.divide(g, tmp, out=g)
+            w -= g
 
 
 def _relu_then_pool(model):
@@ -272,6 +350,39 @@ def test_conv_matches_direct_loop_oracle():
                     patch = x[bi, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
                     expected = np.sum(patch * w[f]) + b[f]
                     assert abs(out[bi, f, i, j] - expected) < 1e-12
+
+
+def _odd(lo, hi):
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda n: 2 * n + 1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_conv_matches_window_oracle_bit_for_bit(data):
+    """Conv2d's output, gradients and dx equal the window-transpose
+    oracle's bytes. One layer sees input shape A, then B, then A again, so
+    a gather index kept from the wrong shape fails."""
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    stride = data.draw(st.sampled_from([1, 2]), label="stride")
+    c, f = data.draw(st.integers(1, 4), label="C"), data.draw(st.integers(1, 5), label="F")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    fast, oracle = Conv2d(c, f, k, stride, RNG(seed)), WindowConv2d(c, f, k, stride, RNG(seed))
+    shape_a = (data.draw(st.integers(1, 21), label="batch_a"), c,
+               data.draw(_odd(k, 21), label="h_a"), data.draw(_odd(k, 21), label="w_a"))
+    shape_b = (data.draw(st.integers(1, 21), label="batch_b"), c,
+               data.draw(_odd(k, 21).filter(lambda h: h != shape_a[2]), label="h_b"),
+               data.draw(_odd(k, 21), label="w_b"))
+    rng = RNG(seed)
+    for shape in (shape_a, shape_b, shape_a):
+        x = rng.normal(size=shape)
+        if data.draw(st.booleans(), label="channel_last"):  # the layout Conv2d returns
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        out = fast.forward(x)
+        _assert_same_bits(np.ascontiguousarray(out), np.ascontiguousarray(oracle.forward(x)))
+        dout = rng.normal(size=out.shape)
+        _assert_same_bits(fast.backward(dout), oracle.backward(dout))
+        for name in ("W", "b"):
+            _assert_same_bits(fast.grads[name], oracle.grads[name])
 
 
 def test_maxpool_constant_and_shape():
@@ -556,6 +667,51 @@ def test_adam_matches_allocating_expression_over_steps():
             np.testing.assert_array_equal(params[name], ref_params[name], err_msg=name)
             np.testing.assert_array_equal(opt.m[name], state["m"][name], err_msg=name)
             np.testing.assert_array_equal(opt.v[name], state["v"][name], err_msg=name)
+
+
+def _assert_adam_matches_unblocked(params, grads_of_step, cfg, n_steps):
+    ref_params = {name: w.copy() for name, w in params.items()}
+    opt, ref = Adam(cfg), UnblockedAdam(cfg)
+    for step in range(n_steps):
+        grads = grads_of_step(step)
+        opt.step(params, grads)
+        ref.step(ref_params, grads)
+        for name in params:
+            for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
+                _assert_same_bits(got[name], want[name])
+
+
+def test_adam_blocks_match_unblocked_update_bit_for_bit():
+    """Parameters of less than one block, exactly one, several whole
+    blocks and several plus a remainder, over steps whose gradients span
+    eight orders of magnitude."""
+    cfg = TrainConfig(lr=3e-3, weight_decay=1e-2)
+    rng = RNG(13)
+    block = Adam.BLOCK
+    shapes = {"a": (7,), "b": (block,), "c": (3, block), "d": (2 * block + 1000,),
+              "e": (37, 500)}
+    assert shapes["e"][0] * shapes["e"][1] % block != 0
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+
+    def grads_of_step(step):
+        return {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=w.shape)
+                for name, w in params.items()}
+
+    _assert_adam_matches_unblocked(params, grads_of_step, cfg, 5)
+
+
+def test_adam_blocks_match_unblocked_update_on_a_model():
+    """The real qnn_basic parameter set and gradients of real batches."""
+    cfg = TrainConfig(lr=1e-3, weight_decay=1e-2)
+    model = build_model("qnn_basic", 2, 0)
+    assert max(w.size for _, w in model.parameters()) > Adam.BLOCK
+    x, y = _separable_features(8, seed=14)
+
+    def grads_of_step(step):
+        _, grads = loss_and_grads(model, x[step :: 4], y[step :: 4])
+        return {name: g.copy() for name, g in grads.items()}
+
+    _assert_adam_matches_unblocked(dict(model.parameters()), grads_of_step, cfg, 4)
 
 
 def test_train_config_validation():

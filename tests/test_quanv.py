@@ -65,6 +65,28 @@ def test_encode_matches_kron_oracle():
     np.testing.assert_allclose(quanv._encode(x), oracle, atol=1e-12)
 
 
+def _patch_major_encode(patches):
+    """The patch-major encoder: (P, 1) states grown one qubit at a time,
+    the new qubit's axis innermost."""
+    half = 0.5 * np.pi * np.clip(patches, 0.0, 1.0)
+    c, s = np.cos(half), np.sin(half)
+    states = np.ones((patches.shape[0], 1))
+    for q in reversed(range(4)):
+        ket = np.stack([c[:, q], s[:, q]], axis=1)
+        states = (states[:, :, None] * ket[:, None, :]).reshape(patches.shape[0], -1)
+    return states
+
+
+@given(st.integers(1, 1500), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_encode_matches_patch_major_oracle_bit_for_bit(n_patches, seed):
+    x = np.random.default_rng(seed).uniform(0, 1, (n_patches, 4))
+    x[: n_patches // 3] = np.round(x[: n_patches // 3])  # exact 0 and 1 angles
+    states = quanv._encode(x)
+    assert states.flags.c_contiguous
+    np.testing.assert_array_equal(states, _patch_major_encode(x))
+
+
 def test_encode_validation():
     with pytest.raises(PatchRangeError):
         _encode_one([0.1, 0.2, 0.3, 1.5])
