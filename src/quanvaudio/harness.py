@@ -640,7 +640,7 @@ def _usable_cores() -> int:
 
 
 # numpy's BLAS reads these when it is imported; one thread per child keeps
-# each child on one core and its results equal to a one-thread in-process run
+# each child on one core (results do not depend on the thread count)
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # glibc keeps this much freed memory at the top of the heap instead of
 # returning it to the kernel, so a training step reuses the pages of the

@@ -66,6 +66,8 @@ class Conv2d(Layer):
     4x20x64 map), rebuilt when the input's (C, H, W) changes.
     """
 
+    GRAD_ROWS = 512  # rows per GEMM of the weight gradient's reduction
+
     def __init__(self, in_ch, out_ch, kernel, stride, rng: np.random.Generator):
         super().__init__()
         self.stride = stride
@@ -113,17 +115,25 @@ class Conv2d(Layer):
         b, f, ho, wo = dout.shape
         c = x_shape[1]
         wmat = self.params["W"].reshape(f, -1)
-        dout_mat = dout.reshape(b, f, ho * wo).transpose(0, 2, 1)  # (B, hw, F)
-        self.grads["W"] = (
-            dout_mat.reshape(-1, f).T @ col.reshape(-1, c * k * k)
-        ).reshape(self.params["W"].shape)
+        dout_rows = dout.reshape(b, f, ho * wo)
+        # The weight gradient sums over all B*ho*wo rows. One GEMM over them
+        # rounds differently at 1 and 2 OpenBLAS threads; a fixed-order sum
+        # of per-sample GEMMs over at most GRAD_ROWS rows each does not.
+        dw, part = np.zeros_like(wmat), np.empty_like(wmat)
+        for i in range(b):
+            for r0 in range(0, ho * wo, self.GRAD_ROWS):
+                r1 = r0 + self.GRAD_ROWS
+                np.matmul(dout_rows[i, :, r0:r1], col[i, r0:r1], out=part)
+                dw += part
+        self.grads["W"] = dw.reshape(self.params["W"].shape)
         # backward consumes the cache: freeing the im2col buffer here lets
         # dwin, of the same size, reuse its memory instead of fresh pages
         self.cache = col = None
         self.grads["b"] = dout.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
-        dwin = (dout_mat @ wmat).reshape(b, ho, wo, c, k, k)
+        # (B, hw, F) @ (F, C*k*k)
+        dwin = (dout_rows.transpose(0, 2, 1) @ wmat).reshape(b, ho, wo, c, k, k)
         dx = np.zeros(x_shape)
         for i in range(k):
             for j in range(k):
