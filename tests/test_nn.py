@@ -363,7 +363,7 @@ def _odd(lo, hi):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_conv_matches_window_oracle_bit_for_bit(data):
+def test_conv_matches_window_oracle(data):
     """Conv2d's output, bias gradient and dx equal the window-transpose
     oracle's bytes, and its blocked weight gradient the oracle's one GEMM
     within the rounding bound of the sum. One layer sees input shape A,
