@@ -61,7 +61,7 @@ def _encode(patches: np.ndarray) -> np.ndarray:
     states = np.ones((1, patches.shape[0]))
     for q in reversed(range(PATCH_QUBITS)):  # most significant qubit first
         ket = np.stack([c[q], s[q]])
-        states = (states[:, None, :] * ket[None, :, :]).reshape(-1, patches.shape[0])
+        states = (states[:, None, :] * ket).reshape(-1, patches.shape[0])
     return np.ascontiguousarray(states.T)
 
 
