@@ -85,15 +85,15 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _sweep(args, *, clean_only=False, reuse_checkpoints=False) -> int:
+def _sweep(args) -> int:
     """The sweep of ``args.config``, narrowed to ``args.model`` when one is
-    given and to the clean test set with ``clean_only``."""
+    given; ``train`` scores the clean test set, ``evaluate`` reuses checkpoints."""
     cfg = harness.ExperimentConfig.from_yaml(args.config)
     if getattr(args, "model", None):
         cfg = cfg.only(args.model)
-    if clean_only:
+    if args.command == "train":
         cfg = replace(cfg, corruptions=())
-    result = harness.run_experiment(cfg, reuse_checkpoints=reuse_checkpoints)
+    result = harness.run_experiment(cfg, reuse_checkpoints=args.command == "evaluate")
     if result.failures:
         print(f"{len(result.failures)} cells failed; see failures.csv", file=sys.stderr)
         return 1
@@ -101,18 +101,11 @@ def _sweep(args, *, clean_only=False, reuse_checkpoints=False) -> int:
 
 
 def cmd_report(args) -> int:
-    grids = harness.grids_from_accuracy_csv(args.accuracy)
-    if not grids:
-        print("no complete accuracy grids found", file=sys.stderr)
-        return 1
-    model_ids = sorted({model for _, model in grids})
-    n_seeds = max(seed for seed, _ in grids) + 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problems = harness.write_reports(out_dir, grids, model_ids, n_seeds)
-    return 1 if problems else 0
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return 1 if harness.report_accuracy_csv(args.accuracy, Path(args.out)) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quanvaudio")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -125,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", choices=[t.value for t in Template], default=None)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--circuit-seed", type=int, default=1234)
-    p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("corrupt", help="write corrupted copies of a WAV tree")
     p.add_argument("--kind", required=True, choices=[k.value for k in CorruptionKind])
@@ -136,26 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the sweep seed index whose corruption to reproduce")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("train", help="train models on the clean splits")
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None, help="restrict to one model id")
-    p.set_defaults(func=functools.partial(_sweep, clean_only=True))
 
     p = sub.add_parser("evaluate", help="evaluate saved checkpoints on all cells")
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None)
-    p.set_defaults(func=functools.partial(_sweep, reuse_checkpoints=True))
 
     p = sub.add_parser("report", help="CE/RCE/mCE/RmCE from an accuracy CSV")
     p.add_argument("--accuracy", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="full multi-seed robustness pipeline")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_sweep)
     return parser
 
 
@@ -168,8 +155,10 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # looked up per call, so a handler patched in after build_parser is the one run
+    handler = {"featurize": cmd_featurize, "corrupt": cmd_corrupt, "report": cmd_report}
     try:
-        return args.func(args)
+        return handler.get(args.command, _sweep)(args)
     except (ValueError, OSError, harness.SeedFailed) as exc:
         log.debug("%s failed", args.command, exc_info=True)
         print(f"quanvaudio {args.command}: error: {exc}", file=sys.stderr)

@@ -79,7 +79,11 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     phase = np.add.accumulate(
         np.concatenate([angles[:, :1], advance[:, :-1]], axis=1), axis=1
     )
-    out = mag * np.exp(1j * phase)
+    # mag * exp(i * phase), in place and without the complex multiply of 1j * phase
+    out = np.zeros(phase.shape, dtype=np.complex128)
+    out.imag = phase
+    np.exp(out, out=out)
+    out *= mag
 
     y = _overlap_add(out, n_fft, hop, window)
     target = int(round(x.shape[0] / rate))

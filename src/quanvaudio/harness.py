@@ -403,6 +403,36 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "accuracy"]
 CONFUSION_HEADER = ["seed", "model", "kind", "severity", "true", "pred", "count"]
+_TABLES = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER}
+_COLUMN_TYPES = {"seed": int, "depth": int, "severity": int, "count": int, "accuracy": float}
+
+
+def read_table(path: str | Path, header: list[str], check=None) -> list[list]:
+    """The rows of a table this package writes as ``header``, each value
+    typed so that it renders through ``_fmt`` to the text it was read from;
+    ``check``, if given, is called with each row. Any other header, a row
+    whose fields do not match it one for one, a value that does not parse
+    or a ValueError from ``check`` is a ValueError naming the file (and
+    the missing columns, or the row's line)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        missing = [c for c in header if c not in found]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column in its header")
+        if found != header:
+            raise ValueError(f"{path}: its header is not {','.join(header)}")
+        rows = []
+        try:
+            for rec in reader:  # a blank line is a row of no fields
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} fields, not the header's {len(header)}")
+                rows.append([_COLUMN_TYPES.get(c, str)(v) for c, v in zip(header, rec)])
+                if check is not None:
+                    check(rows[-1])
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return rows
 
 
 @dataclass
@@ -415,22 +445,6 @@ class SweepResult:
 
     def record_failure(self, cell: str, exc: Exception) -> None:
         self.failures.append((cell, type(exc).__name__, str(exc)))
-
-
-def _rows_not_scored(path: Path, header: list[str], scored: set[tuple[int, str]]) -> list[list]:
-    """The rows of the table at ``path``, laid out as ``header``, whose
-    (seed, model) is not in ``scored``: what earlier runs into the same
-    directory wrote for other seeds or models. Seed and severity are read
-    back as ints, so these rows sort as the run's own do."""
-    if not path.exists():
-        return []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"{path}: its header is not {','.join(header)}")
-        sev = header.index("severity")
-        rows = [[int(r[0]), *r[1:sev], int(r[sev]), *r[sev + 1:]] for r in reader]
-    return [r for r in rows if (r[0], r[1]) not in scored]
 
 
 def run_experiment(
@@ -452,22 +466,27 @@ def run_experiment(
     from ``accuracy.csv`` just as ``quanvaudio report`` does, and
     ``failures.csv``. The tables keep what earlier runs into
     ``cfg.output_dir`` wrote for the (seed, model) pairs this run does not
-    score and replace the rest, and the reports cover every model of the
-    merged ``accuracy.csv``; so per-model runs into one directory add up to
-    the run of the whole config. A failed training run or cell is recorded
-    and the sweep goes on. With ``reuse_checkpoints`` an existing
-    checkpoint file is loaded instead of retraining.
+    score, read before any seed starts, and replace the rest; so per-model
+    runs into one directory add up to the run of the whole config. A
+    failed training run or cell is recorded and the sweep goes on. With
+    ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
+    retraining.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cfg.cache_dir is not None:
         log.warning("cache_dir %r is ignored: grams are computed in memory", cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
+    instances = cfg.instances()
+    scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
+    earlier = {  # read, and so checked, before anything is written or trained
+        name: [r for r in read_table(out_dir / name, header) if (r[0], r[1]) not in scored]
+        if (out_dir / name).exists() else [] for name, header in _TABLES.items()
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.to_yaml(out_dir / "config.yaml")
 
     manifest = load_manifest(cfg.data_root, cfg.manifest_csv)
-    instances = cfg.instances()
     for inst in instances:
         if inst.circuit is not None:
             (out_dir / f"circuit_{inst.model_id}.json").write_text(inst.circuit.to_json())
@@ -487,20 +506,11 @@ def run_experiment(
         result.accuracy_rows += seed.accuracy_rows
         result.confusion_rows += seed.confusion_rows
         result.failures += seed.failures
-    scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
-    accuracy = result.accuracy_rows + _rows_not_scored(out_dir / "accuracy.csv",
-                                                       ACCURACY_HEADER, scored)
-    confusion = result.confusion_rows + _rows_not_scored(out_dir / "confusion.csv",
-                                                         CONFUSION_HEADER, scored)
-    accuracy.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
-    confusion.sort(key=lambda r: r[:6])
-    write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, accuracy)
-    write_csv(out_dir / "confusion.csv", CONFUSION_HEADER, confusion)
+    new = {"accuracy.csv": result.accuracy_rows, "confusion.csv": result.confusion_rows}
+    for name, header in _TABLES.items():  # rows sorted by every column but the value
+        write_csv(out_dir / name, header, sorted(new[name] + earlier[name], key=lambda r: r[:-1]))
     if cfg.corruptions and cfg.severities:
-        write_reports(
-            out_dir, grids_from_accuracy_csv(out_dir / "accuracy.csv"),
-            sorted({model for _, model in scored} | {r[1] for r in accuracy}), cfg.n_seeds,
-        )
+        report_accuracy_csv(out_dir / "accuracy.csv", out_dir, scored)
     if result.failures:
         result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
         write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
@@ -735,9 +745,9 @@ def write_reports(
     seed-aggregated summary, both computed by ``metrics``; ``_fmt`` renders
     an undefined (None) cell. Rows follow sorted model ids, whatever order
     ``model_ids`` has. Returns one problem line per seed or (seed, model)
-    that got no report."""
+    that got no report, or one saying there is no seed to report."""
     reports: list[tuple[int, str, dict[str, float | None]]] = []
-    problems: list[str] = []
+    problems: list[str] = [] if n_seeds else ["no seed has an accuracy row; no report"]
     for seed_idx in range(n_seeds):
         base = grids.get((seed_idx, BASELINE_MODEL))
         if base is None:
@@ -777,45 +787,45 @@ def write_reports(
 
 
 def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
-    """Per-(seed, model) accuracy grids of an accuracy.csv laid out as
-    ``ACCURACY_HEADER``. A (seed, model) that lacks its clean row or any
-    kind x severity cell gets no grid. A header without one of those
-    columns is a ValueError naming the file; a value that does not parse,
-    an accuracy outside [0, 1], a clean row whose severity is not 0, a
-    corrupted one whose severity lies outside 1..6, or a second row for one
-    (seed, model, kind, severity), one naming the file and line."""
+    """Per-(seed, model) accuracy grids of an accuracy.csv; a (seed, model)
+    that lacks its clean row or any kind x severity cell gets no grid.
+    Besides what ``read_table`` refuses, an accuracy outside [0, 1], an
+    unknown kind, a clean row whose severity is not 0, a corrupted one
+    whose severity lies outside 1..6, or a second row for one (seed, model,
+    kind, severity) is a ValueError naming the file and line."""
     # (seed, model) -> (kind, severity) -> accuracy; the clean row is (None, 0)
     cells: dict[tuple[int, str], dict] = defaultdict(dict)
     severities = range(1, corruptmod.N_SEVERITIES + 1)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ACCURACY_HEADER if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: no {', '.join(missing)} column in its header")
-        for rec in reader:
-            try:
-                key = (int(rec["seed"]), rec["model"])
-                kind = None if rec["kind"] == "clean" else CorruptionKind(rec["kind"])
-                sev, value = int(rec["severity"]), float(rec["accuracy"])
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"accuracy {value} outside [0, 1]")
-                if kind is None and sev != 0:
-                    raise ValueError(f"clean row with severity {sev}, not 0")
-                if kind is not None and sev not in severities:
-                    raise ValueError(f"severity {sev} outside 1..{corruptmod.N_SEVERITIES}")
-                if (kind, sev) in cells[key]:
-                    raise ValueError(f"a second {rec['kind']} severity {sev} row "
-                                     f"for seed {key[0]}, model {key[1]}")
-            except (TypeError, ValueError) as exc:  # a short row's missing fields are None
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-            cells[key][(kind, sev)] = value
-    needed = [(None, 0)] + [(k, s) for k in CorruptionKind for s in severities]
-    return {
+
+    def add(row: list) -> None:
+        seed, model, _, _, kind_name, sev, value = row
+        kind = None if kind_name == "clean" else CorruptionKind(kind_name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"accuracy {value} outside [0, 1]")
+        if kind is None and sev != 0:
+            raise ValueError(f"clean row with severity {sev}, not 0")
+        if kind is not None and sev not in severities:
+            raise ValueError(f"severity {sev} outside 1..{corruptmod.N_SEVERITIES}")
+        if (kind, sev) in cells[seed, model]:
+            raise ValueError(f"a second {kind_name} severity {sev} row "
+                             f"for seed {seed}, model {model}")
+        cells[seed, model][kind, sev] = value
+
+    read_table(path, ACCURACY_HEADER, add)
+    return {  # every cell is checked and distinct, so a full count is a full grid
         key: metricsmod.AccuracyGrid(
-            model_id=key[1],
-            clean_acc=got[(None, 0)],
-            acc={k: tuple(got[(k, s)] for s in severities) for k in CorruptionKind},
+            key[1], got[None, 0], {k: tuple(got[k, s] for s in severities) for k in CorruptionKind}
         )
-        for key, got in cells.items()
-        if all(cell in got for cell in needed)
+        for key, got in cells.items() if len(got) == 1 + len(CorruptionKind) * len(severities)
     }
+
+
+def report_accuracy_csv(accuracy_csv: str | Path, out_dir: Path, scored=()) -> list[str]:
+    """``write_reports`` of the accuracy.csv at ``accuracy_csv`` for every
+    model, and every seed up to the largest, that has a row in it or is in
+    ``scored``: the (seed, model) pairs a sweep ran, rows or not. The sweep
+    and ``quanvaudio report`` both report through here."""
+    pairs = {(r[0], r[1]) for r in read_table(accuracy_csv, ACCURACY_HEADER)} | set(scored)
+    return write_reports(out_dir, grids_from_accuracy_csv(accuracy_csv),
+                         sorted({model for _, model in pairs}),
+                         1 + max((seed for seed, _ in pairs), default=-1))

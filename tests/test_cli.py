@@ -11,7 +11,7 @@ import pytest
 from quanvaudio.audio import load_wav, write_wav
 from quanvaudio.cli import main
 from quanvaudio.corrupt import SEVERITY_TABLE, CorruptionKind, speed_by
-from quanvaudio.harness import ACCURACY_HEADER, ExperimentConfig, clean_gram
+from quanvaudio.harness import ACCURACY_HEADER, CONFUSION_HEADER, ExperimentConfig, clean_gram
 from quanvaudio.qsim import build_circuit
 from quanvaudio.quanv import quanv_forward
 from quanvaudio.tensorio import load_tensor
@@ -291,3 +291,95 @@ def test_report_empty_csv_fails(tmp_path):
     acc_csv = tmp_path / "accuracy.csv"
     acc_csv.write_text(",".join(ACCURACY_HEADER) + "\n")
     assert main(["report", "--accuracy", str(acc_csv), "--out", str(tmp_path / "r")]) == 1
+
+
+def _two_model_config(toy_root, tmp_path, n_seeds):
+    cfg = ExperimentConfig(
+        data_root=str(toy_root), output_dir=str(tmp_path / "results"),
+        models=("cnn_base", "qnn_basic"), depths=(1,),
+        n_seeds=n_seeds, lr=1e-3, max_epochs=2, patience=1, batch_size=8,
+    )
+    cfg.to_yaml(tmp_path / "config.yaml")
+    return cfg, str(tmp_path / "config.yaml")
+
+
+CLEAN_ROW = "0,cnn_base,-,0,clean,0,0.5"
+
+
+@pytest.mark.parametrize("table, lines, problem", [
+    ("accuracy.csv", [CLEAN_ROW, "", "0,cnn_base,-,0,gaussian_noise,1,0.5"],
+     ", line 3: 0 fields, not the header's 7"),
+    ("accuracy.csv", [CLEAN_ROW, "0,cnn_base,-,0,gaussian_noise"],
+     ", line 3: 5 fields, not the header's 7"),
+    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "one,cnn_base,clean,0,high,low,0"],
+     ", line 3: invalid literal for int() with base 10: 'one'"),
+], ids=["blank_line", "short_row", "non_integer_seed"])
+def test_malformed_earlier_table_stops_evaluate_before_training(toy_root, tmp_path, capsys,
+                                                                table, lines, problem):
+    """`evaluate --model` reads what earlier runs left in its directory
+    before any seed starts: a malformed table is one error line, and
+    nothing is trained or written."""
+    cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
+    out = Path(cfg.output_dir)
+    out.mkdir()
+    header = ACCURACY_HEADER if table == "accuracy.csv" else CONFUSION_HEADER
+    (out / table).write_text("\n".join([",".join(header), *lines]) + "\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--model", "qnn_basic_d1", "--config", config]) == 2
+    assert _one_error_line(capsys, "evaluate") == f"{out / table}{problem}"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_reports_cover_every_seed_and_model_of_the_merged_table(toy_root, tmp_path):
+    """A one-seed `evaluate` into a directory that holds seed 1 of an
+    earlier run reports both seeds, and `report` on the merged
+    accuracy.csv rewrites its three report files."""
+    cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
+    out = Path(cfg.output_dir)
+    out.mkdir()
+    rows = []
+    for inst in cfg.instances():
+        rows.append([1, inst.model_id, inst.template, inst.depth, "clean", 0, 0.75])
+        rows += [[1, inst.model_id, inst.template, inst.depth, kind.value, sev, 0.25]
+                 for kind in CorruptionKind for sev in range(1, 7)]
+    rows.pop()  # qnn_basic_d1 misses speed_variation 6 in seed 1
+    with open(out / "accuracy.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([ACCURACY_HEADER, *rows])
+    assert main(["evaluate", "--config", config]) == 0
+    with open(out / "report_per_seed.csv") as fh:
+        reported = {(r["seed"], r["model"]) for r in csv.DictReader(fh)}
+    assert reported == {("0", "cnn_base"), ("0", "qnn_basic_d1"), ("1", "cnn_base")}
+    problems = (out / "report_problems.csv").read_text()
+    assert problems == "problem\nseed 1: qnn_basic_d1 grid incomplete\n"
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--accuracy", str(out / "accuracy.csv"), "--out", str(rebuilt)]) == 1
+    for name in ("report.csv", "report_per_seed.csv", "report_problems.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_report_lists_a_model_incomplete_in_every_seed(tmp_path):
+    """A model that misses one cell in each seed still counts: `report`
+    names it in report_problems.csv and exits 1."""
+    acc_csv = tmp_path / "accuracy.csv"
+    rows = []
+    for seed in (0, 1):
+        for model in ("cnn_base", "qnn_basic_d1"):
+            rows.append([seed, model, "-", 0, "clean", 0, 0.95])
+            rows += [[seed, model, "-", 0, kind.value, sev, 0.5]
+                     for kind in CorruptionKind for sev in range(1, 7)]
+        rows.pop()  # qnn_basic_d1 misses speed_variation 6
+    with open(acc_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([ACCURACY_HEADER, *rows])
+    out = tmp_path / "report"
+    assert main(["report", "--accuracy", str(acc_csv), "--out", str(out)]) == 1
+    assert (out / "report_problems.csv").read_text().splitlines() == [
+        "problem", "seed 0: qnn_basic_d1 grid incomplete", "seed 1: qnn_basic_d1 grid incomplete"]
+
+
+def test_report_refuses_reordered_columns(tmp_path, capsys):
+    acc_csv = tmp_path / "accuracy.csv"
+    acc_csv.write_text(",".join(reversed(ACCURACY_HEADER)) + "\n")
+    assert main(["report", "--accuracy", str(acc_csv), "--out", str(tmp_path / "r")]) == 2
+    assert _one_error_line(capsys, "report") == (
+        f"{acc_csv}: its header is not {','.join(ACCURACY_HEADER)}")
