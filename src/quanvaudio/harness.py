@@ -405,15 +405,20 @@ ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "ac
 CONFUSION_HEADER = ["seed", "model", "kind", "severity", "true", "pred", "count"]
 _TABLES = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER}
 _COLUMN_TYPES = {"seed": int, "depth": int, "severity": int, "count": int, "accuracy": float}
+# the columns that name a row's cell, which a table holds one row of
+_CELL_COLUMNS = ("seed", "model", "kind", "severity", "true", "pred")
 
 
-def read_table(path: str | Path, header: list[str], check=None) -> list[list]:
+def read_table(path: str | Path, header: list[str]) -> list[list]:
     """The rows of a table this package writes as ``header``, each value
-    typed so that it renders through ``_fmt`` to the text it was read from;
-    ``check``, if given, is called with each row. Any other header, a row
-    whose fields do not match it one for one, a value that does not parse
-    or a ValueError from ``check`` is a ValueError naming the file (and
-    the missing columns, or the row's line)."""
+    typed so that it renders through ``_fmt`` to the text it was read from.
+    Any other header is a ValueError naming the file (and the missing
+    columns); so is, with the line, a row whose fields do not match it one
+    for one, a value that does not parse, or a row that breaks a rule of
+    the sweep's tables: a clean row has severity 0, any other a known kind
+    and a severity in 1..6; an accuracy lies in [0, 1]; a count is not
+    negative; and no two rows share a cell, (seed, model, kind, severity)
+    and in ``confusion.csv`` (true, pred)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])
@@ -422,14 +427,30 @@ def read_table(path: str | Path, header: list[str], check=None) -> list[list]:
             raise ValueError(f"{path}: no {', '.join(missing)} column in its header")
         if found != header:
             raise ValueError(f"{path}: its header is not {','.join(header)}")
-        rows = []
+        rows, cells = [], set()
         try:
             for rec in reader:  # a blank line is a row of no fields
                 if len(rec) != len(header):
                     raise ValueError(f"{len(rec)} fields, not the header's {len(header)}")
                 rows.append([_COLUMN_TYPES.get(c, str)(v) for c, v in zip(header, rec)])
-                if check is not None:
-                    check(rows[-1])
+                row = dict(zip(header, rows[-1]))
+                kind, sev = row["kind"], row["severity"]
+                if kind != "clean":
+                    CorruptionKind(kind)  # an unknown kind is a ValueError
+                if kind == "clean" and sev != 0:
+                    raise ValueError(f"clean row with severity {sev}, not 0")
+                if kind != "clean" and not 1 <= sev <= corruptmod.N_SEVERITIES:
+                    raise ValueError(f"severity {sev} outside 1..{corruptmod.N_SEVERITIES}")
+                if not 0.0 <= row.get("accuracy", 0.0) <= 1.0:
+                    raise ValueError(f"accuracy {row['accuracy']} outside [0, 1]")
+                if row.get("count", 0) < 0:
+                    raise ValueError(f"count {row['count']} below 0")
+                cell = tuple(row[c] for c in _CELL_COLUMNS if c in row)
+                if cell in cells:
+                    pair = "".join(f", {c} {row[c]}" for c in ("true", "pred") if c in row)
+                    raise ValueError(f"a second {kind} severity {sev} row "
+                                     f"for seed {row['seed']}, model {row['model']}{pair}")
+                cells.add(cell)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return rows
@@ -479,7 +500,7 @@ def run_experiment(
     out_dir = Path(cfg.output_dir)
     instances = cfg.instances()
     scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
-    earlier = {  # read, and so checked, before anything is written or trained
+    earlier = {  # read and checked by read_table before anything is written or trained
         name: [r for r in read_table(out_dir / name, header) if (r[0], r[1]) not in scored]
         if (out_dir / name).exists() else [] for name, header in _TABLES.items()
     }
@@ -510,7 +531,7 @@ def run_experiment(
     for name, header in _TABLES.items():  # rows sorted by every column but the value
         write_csv(out_dir / name, header, sorted(new[name] + earlier[name], key=lambda r: r[:-1]))
     if cfg.corruptions and cfg.severities:
-        report_accuracy_csv(out_dir / "accuracy.csv", out_dir, scored)
+        report_accuracy_csv(out_dir / "accuracy.csv", out_dir)
     if result.failures:
         result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
         write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
@@ -759,13 +780,9 @@ def write_reports(
                 problems.append(f"seed {seed_idx}: {model_id} grid incomplete")
                 continue
             reports.append((seed_idx, model_id, metricsmod.robustness_report(grid, base)))
-    write_csv(
-        out_dir / "report_per_seed.csv",
-        ["seed", "model", "kind", "CE", "RCE"],
-        [[seed_idx, model_id, k.value, r[f"ce/{k.value}"], r[f"rce/{k.value}"]]
-         for seed_idx, model_id, r in reports for k in CorruptionKind],
-    )
-
+    write_csv(out_dir / "report_per_seed.csv", ["seed", "model", "kind", "CE", "RCE"],
+              [[seed_idx, model_id, k.value, r[f"ce/{k.value}"], r[f"rce/{k.value}"]]
+               for seed_idx, model_id, r in reports for k in CorruptionKind])
     summary_rows = [(k.value, f"ce/{k.value}", f"rce/{k.value}") for k in CorruptionKind]
     summary_rows.append(("mCE/RmCE", "mce", "rmce"))
     agg_rows: list[list] = []
@@ -774,11 +791,8 @@ def write_reports(
         for label, ce_key, rce_key in summary_rows:
             agg_rows.append([model_id, label, *(agg[ce_key] or (None, None)),
                              *(agg[rce_key] or (None, None))])
-    write_csv(
-        out_dir / "report.csv",
-        ["model", "kind", "CE_mean", "CE_std", "RCE_mean", "RCE_std"],
-        agg_rows,
-    )
+    write_csv(out_dir / "report.csv",
+              ["model", "kind", "CE_mean", "CE_std", "RCE_mean", "RCE_std"], agg_rows)
     if problems:
         write_csv(out_dir / "report_problems.csv", ["problem"], [[p] for p in problems])
     else:  # an earlier report's problems no longer hold
@@ -786,46 +800,29 @@ def write_reports(
     return problems
 
 
-def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
-    """Per-(seed, model) accuracy grids of an accuracy.csv; a (seed, model)
-    that lacks its clean row or any kind x severity cell gets no grid.
-    Besides what ``read_table`` refuses, an accuracy outside [0, 1], an
-    unknown kind, a clean row whose severity is not 0, a corrupted one
-    whose severity lies outside 1..6, or a second row for one (seed, model,
-    kind, severity) is a ValueError naming the file and line."""
-    # (seed, model) -> (kind, severity) -> accuracy; the clean row is (None, 0)
-    cells: dict[tuple[int, str], dict] = defaultdict(dict)
-    severities = range(1, corruptmod.N_SEVERITIES + 1)
-
-    def add(row: list) -> None:
-        seed, model, _, _, kind_name, sev, value = row
-        kind = None if kind_name == "clean" else CorruptionKind(kind_name)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"accuracy {value} outside [0, 1]")
-        if kind is None and sev != 0:
-            raise ValueError(f"clean row with severity {sev}, not 0")
-        if kind is not None and sev not in severities:
-            raise ValueError(f"severity {sev} outside 1..{corruptmod.N_SEVERITIES}")
-        if (kind, sev) in cells[seed, model]:
-            raise ValueError(f"a second {kind_name} severity {sev} row "
-                             f"for seed {seed}, model {model}")
+def _grids(rows: list[list]) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
+    """Per-(seed, model) accuracy grids of ``read_table``'s accuracy rows; a
+    (seed, model) missing its clean row or any kind x severity cell gets none."""
+    cells: dict[tuple[int, str], dict[tuple[str, int], float]] = defaultdict(dict)
+    for seed, model, _, _, kind, sev, value in rows:
         cells[seed, model][kind, sev] = value
-
-    read_table(path, ACCURACY_HEADER, add)
+    severities = range(1, corruptmod.N_SEVERITIES + 1)
     return {  # every cell is checked and distinct, so a full count is a full grid
-        key: metricsmod.AccuracyGrid(
-            key[1], got[None, 0], {k: tuple(got[k, s] for s in severities) for k in CorruptionKind}
-        )
+        key: metricsmod.AccuracyGrid(key[1], got["clean", 0], {
+            k: tuple(got[k.value, s] for s in severities) for k in CorruptionKind})
         for key, got in cells.items() if len(got) == 1 + len(CorruptionKind) * len(severities)
     }
 
 
-def report_accuracy_csv(accuracy_csv: str | Path, out_dir: Path, scored=()) -> list[str]:
+def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmod.AccuracyGrid]:
+    """The ``_grids`` of the accuracy.csv at ``path``, read by ``read_table``."""
+    return _grids(read_table(path, ACCURACY_HEADER))
+
+
+def report_accuracy_csv(accuracy_csv: str | Path, out_dir: Path) -> list[str]:
     """``write_reports`` of the accuracy.csv at ``accuracy_csv`` for every
-    model, and every seed up to the largest, that has a row in it or is in
-    ``scored``: the (seed, model) pairs a sweep ran, rows or not. The sweep
-    and ``quanvaudio report`` both report through here."""
-    pairs = {(r[0], r[1]) for r in read_table(accuracy_csv, ACCURACY_HEADER)} | set(scored)
-    return write_reports(out_dir, grids_from_accuracy_csv(accuracy_csv),
-                         sorted({model for _, model in pairs}),
-                         1 + max((seed for seed, _ in pairs), default=-1))
+    model, and every seed up to the largest, that has a row in it. The
+    sweep and ``quanvaudio report`` both report through here."""
+    rows = read_table(accuracy_csv, ACCURACY_HEADER)
+    return write_reports(out_dir, _grids(rows), sorted({r[1] for r in rows}),
+                         1 + max((r[0] for r in rows), default=-1))

@@ -313,7 +313,15 @@ CLEAN_ROW = "0,cnn_base,-,0,clean,0,0.5"
      ", line 3: 5 fields, not the header's 7"),
     ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "one,cnn_base,clean,0,high,low,0"],
      ", line 3: invalid literal for int() with base 10: 'one'"),
-], ids=["blank_line", "short_row", "non_integer_seed"])
+    ("accuracy.csv", ["0,cnn_base,-,0,clean,0,1.5"], ", line 2: accuracy 1.5 outside [0, 1]"),
+    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,low,-1"],
+     ", line 3: count -1 below 0"),
+    ("confusion.csv", ["0,cnn_base,loud_noise,1,high,high,3"],
+     ", line 2: 'loud_noise' is not a valid CorruptionKind"),
+    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,high,2"],
+     ", line 3: a second clean severity 0 row for seed 0, model cnn_base, true high, pred high"),
+], ids=["blank_line", "short_row", "non_integer_seed", "accuracy_out_of_range", "negative_count",
+        "unknown_kind", "repeated_confusion_cell"])
 def test_malformed_earlier_table_stops_evaluate_before_training(toy_root, tmp_path, capsys,
                                                                 table, lines, problem):
     """`evaluate --model` reads what earlier runs left in its directory
