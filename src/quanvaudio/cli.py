@@ -101,7 +101,6 @@ def _sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     return 1 if harness.report_accuracy_csv(args.accuracy, Path(args.out)) else 0
 
 

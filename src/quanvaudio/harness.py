@@ -403,10 +403,22 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "accuracy"]
 CONFUSION_HEADER = ["seed", "model", "kind", "severity", "true", "pred", "count"]
-_TABLES = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER}
+FAILURES_HEADER = ["cell", "error", "message"]
+_TABLES = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER,
+           "failures.csv": FAILURES_HEADER}
+_REPORTS = ("report.csv", "report_per_seed.csv", "report_problems.csv")
 _COLUMN_TYPES = {"seed": int, "depth": int, "severity": int, "count": int, "accuracy": float}
 # the columns that name a row's cell, which a table holds one row of
 _CELL_COLUMNS = ("seed", "model", "kind", "severity", "true", "pred")
+
+
+def _failure_pair(cell: str) -> tuple[int, str]:
+    """The (seed, model) a failures.csv cell names: ``train/<seed>/<model>``
+    or ``eval/<seed>/<model>/<kind>/<severity>``."""
+    parts = cell.split("/")
+    if len(parts) == {"train": 3, "eval": 5}.get(parts[0]) and parts[1].isdecimal() and parts[2]:
+        return int(parts[1]), parts[2]
+    raise ValueError(f"cell {cell!r} names no seed and model")
 
 
 def read_table(path: str | Path, header: list[str]) -> list[list]:
@@ -417,8 +429,9 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
     for one, a value that does not parse, or a row that breaks a rule of
     the sweep's tables: a clean row has severity 0, any other a known kind
     and a severity in 1..6; an accuracy lies in [0, 1]; a count is not
-    negative; and no two rows share a cell, (seed, model, kind, severity)
-    and in ``confusion.csv`` (true, pred)."""
+    negative; a failure's cell names a seed and a model; and no two rows
+    share a cell, (seed, model, kind, severity) and in ``confusion.csv``
+    (true, pred)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])
@@ -434,6 +447,9 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
                     raise ValueError(f"{len(rec)} fields, not the header's {len(header)}")
                 rows.append([_COLUMN_TYPES.get(c, str)(v) for c, v in zip(header, rec)])
                 row = dict(zip(header, rows[-1]))
+                if "cell" in row:  # a failures.csv row
+                    _failure_pair(row["cell"])
+                    continue
                 kind, sev = row["kind"], row["severity"]
                 if kind != "clean":
                     CorruptionKind(kind)  # an unknown kind is a ValueError
@@ -473,7 +489,7 @@ def run_experiment(
 ) -> SweepResult:
     """Full sweep over seeds x models x test cells, cell-major. The cells
     are the clean test set, then every ``cfg.corruptions`` x
-    ``cfg.severities``; a config with no corrupted cell writes no reports.
+    ``cfg.severities``.
 
     Each seed runs through ``_run_seed``, which writes the seed's
     checkpoints and histories and returns its rows. Seeds are independent,
@@ -483,13 +499,15 @@ def run_experiment(
     (``_child_env``), and a seed that aborts raises ``SeedFailed``.
     ``jobs=1``, one seed or one core run the seeds in this process one
     after the other. Either way this process then writes every table:
-    ``accuracy.csv``, ``confusion.csv``, the reports, which it computes
-    from ``accuracy.csv`` just as ``quanvaudio report`` does, and
-    ``failures.csv``. The tables keep what earlier runs into
+    ``accuracy.csv``, ``confusion.csv`` and ``failures.csv`` (removed when
+    no failure is left). They keep what earlier runs into
     ``cfg.output_dir`` wrote for the (seed, model) pairs this run does not
-    score, read before any seed starts, and replace the rest; so per-model
-    runs into one directory add up to the run of the whole config. A
-    failed training run or cell is recorded and the sweep goes on. With
+    score, read and checked by ``read_table`` before any seed starts, and
+    replace the rest; so per-model runs into one directory add up to the
+    run of the whole config. The reports are what ``quanvaudio report``
+    makes of the merged ``accuracy.csv``, and are removed when it has no
+    corrupted row. A failed training run or cell is recorded and the sweep
+    goes on; the result's ``failures`` are this run's. With
     ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
     retraining.
     """
@@ -501,7 +519,7 @@ def run_experiment(
     instances = cfg.instances()
     scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
     earlier = {  # read and checked by read_table before anything is written or trained
-        name: [r for r in read_table(out_dir / name, header) if (r[0], r[1]) not in scored]
+        name: [r for r in read_table(out_dir / name, header) if _pair(name, r) not in scored]
         if (out_dir / name).exists() else [] for name, header in _TABLES.items()
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,16 +545,29 @@ def run_experiment(
         result.accuracy_rows += seed.accuracy_rows
         result.confusion_rows += seed.confusion_rows
         result.failures += seed.failures
-    new = {"accuracy.csv": result.accuracy_rows, "confusion.csv": result.confusion_rows}
+    result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
+    new = {"accuracy.csv": result.accuracy_rows, "confusion.csv": result.confusion_rows,
+           "failures.csv": [list(f) for f in result.failures]}
+    merged = {}
     for name, header in _TABLES.items():  # rows sorted by every column but the value
-        write_csv(out_dir / name, header, sorted(new[name] + earlier[name], key=lambda r: r[:-1]))
-    if cfg.corruptions and cfg.severities:
+        merged[name] = sorted(new[name] + earlier[name], key=lambda r: r[:-1])
+        if merged[name] or name != "failures.csv":
+            write_csv(out_dir / name, header, merged[name])
+        else:  # no failure is left
+            (out_dir / name).unlink(missing_ok=True)
+    if any(r[4] != "clean" for r in merged["accuracy.csv"]):
         report_accuracy_csv(out_dir / "accuracy.csv", out_dir)
+    else:  # no corrupted cell, so no report
+        for name in _REPORTS:
+            (out_dir / name).unlink(missing_ok=True)
     if result.failures:
-        result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
-        write_csv(out_dir / "failures.csv", ["cell", "error", "message"], result.failures)
         log.warning("sweep finished with %d failed cells", len(result.failures))
     return result
+
+
+def _pair(table: str, row: list) -> tuple[int, str]:
+    """The (seed, model) of a checked row of the sweep's table ``table``."""
+    return _failure_pair(row[0]) if table == "failures.csv" else (row[0], row[1])
 
 
 def _run_seed(
@@ -821,8 +852,10 @@ def grids_from_accuracy_csv(path: str | Path) -> dict[tuple[int, str], metricsmo
 
 def report_accuracy_csv(accuracy_csv: str | Path, out_dir: Path) -> list[str]:
     """``write_reports`` of the accuracy.csv at ``accuracy_csv`` for every
-    model, and every seed up to the largest, that has a row in it. The
-    sweep and ``quanvaudio report`` both report through here."""
+    model, and every seed up to the largest, that has a row in it, into
+    ``out_dir``, made once the table has been read. The sweep and
+    ``quanvaudio report`` both report through here."""
     rows = read_table(accuracy_csv, ACCURACY_HEADER)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return write_reports(out_dir, _grids(rows), sorted({r[1] for r in rows}),
                          1 + max((r[0] for r in rows), default=-1))

@@ -11,7 +11,8 @@ import pytest
 from quanvaudio.audio import load_wav, write_wav
 from quanvaudio.cli import main
 from quanvaudio.corrupt import SEVERITY_TABLE, CorruptionKind, speed_by
-from quanvaudio.harness import ACCURACY_HEADER, CONFUSION_HEADER, ExperimentConfig, clean_gram
+from quanvaudio.harness import (ACCURACY_HEADER, CONFUSION_HEADER, FAILURES_HEADER,
+                                ExperimentConfig, clean_gram)
 from quanvaudio.qsim import build_circuit
 from quanvaudio.quanv import quanv_forward
 from quanvaudio.tensorio import load_tensor
@@ -320,8 +321,10 @@ CLEAN_ROW = "0,cnn_base,-,0,clean,0,0.5"
      ", line 2: 'loud_noise' is not a valid CorruptionKind"),
     ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,high,2"],
      ", line 3: a second clean severity 0 row for seed 0, model cnn_base, true high, pred high"),
+    ("failures.csv", ["train/0/cnn_base,TrainingDiverged,loss is nan", "cnn_base,ValueError,x"],
+     ", line 3: cell 'cnn_base' names no seed and model"),
 ], ids=["blank_line", "short_row", "non_integer_seed", "accuracy_out_of_range", "negative_count",
-        "unknown_kind", "repeated_confusion_cell"])
+        "unknown_kind", "repeated_confusion_cell", "failure_cell_without_seed"])
 def test_malformed_earlier_table_stops_evaluate_before_training(toy_root, tmp_path, capsys,
                                                                 table, lines, problem):
     """`evaluate --model` reads what earlier runs left in its directory
@@ -330,7 +333,8 @@ def test_malformed_earlier_table_stops_evaluate_before_training(toy_root, tmp_pa
     cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
     out = Path(cfg.output_dir)
     out.mkdir()
-    header = ACCURACY_HEADER if table == "accuracy.csv" else CONFUSION_HEADER
+    header = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER,
+              "failures.csv": FAILURES_HEADER}[table]
     (out / table).write_text("\n".join([",".join(header), *lines]) + "\n")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
@@ -364,6 +368,38 @@ def test_reports_cover_every_seed_and_model_of_the_merged_table(toy_root, tmp_pa
     assert main(["report", "--accuracy", str(out / "accuracy.csv"), "--out", str(rebuilt)]) == 1
     for name in ("report.csv", "report_per_seed.csv", "report_problems.csv"):
         assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_reports_follow_the_merged_table_after_train(toy_root, tmp_path):
+    """`train --model cnn_base` after a sweep leaves the baseline one clean
+    row: the reports are then what `report` makes of the merged
+    accuracy.csv. A `train` of every model leaves no corrupted row, and so
+    no report."""
+    cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
+    out = Path(cfg.output_dir)
+    assert main(["sweep", "--config", config]) == 0
+    assert main(["train", "--model", "cnn_base", "--config", config]) == 0
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--accuracy", str(out / "accuracy.csv"), "--out", str(rebuilt)]) == 1
+    for name in ("report.csv", "report_per_seed.csv", "report_problems.csv"):
+        assert (out / name).read_bytes() == (rebuilt / name).read_bytes(), name
+    assert (out / "report_problems.csv").read_text() == (
+        "problem\nseed 0: baseline grid incomplete; no report\n")
+    assert main(["train", "--config", config]) == 0
+    assert not list(out.glob("report*.csv"))
+
+
+@pytest.mark.parametrize("lines", [
+    [",".join(reversed(ACCURACY_HEADER))],
+    [",".join(ACCURACY_HEADER), "0,cnn_base,-,0,clean,0,1.5"],
+], ids=["bad_header", "bad_row"])
+def test_report_on_a_bad_table_makes_no_out_directory(tmp_path, capsys, lines):
+    acc_csv = tmp_path / "accuracy.csv"
+    acc_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--accuracy", str(acc_csv), "--out", str(tmp_path / "r")]) == 2
+    assert _one_error_line(capsys, "report").startswith(str(acc_csv))
+    assert not (tmp_path / "r").exists()
 
 
 def test_report_lists_a_model_incomplete_in_every_seed(tmp_path):

@@ -406,6 +406,30 @@ def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
     assert result.failures[1] == ("train/0/qnn_basic_d1", "TrainingDiverged", "loss is nan")
 
 
+def test_failures_follow_the_per_model_merge(toy_root, tmp_path, monkeypatch):
+    """failures.csv merges like the tables: a rerun of another model keeps
+    a diverged model's failure, and a clean rerun of that model drops it,
+    and with it the file."""
+    real_train = nn.train
+
+    def diverge_quanv(model, train_x, *args):
+        if train_x.shape[1] == 4:  # quanvolution features have 4 channels
+            raise nn.TrainingDiverged("loss is nan")
+        return real_train(model, train_x, *args)
+
+    cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"))
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.nnmod, "train", diverge_quanv)
+        assert len(run_experiment(cfg).failures) == 1
+    failures = tmp_path / "failures.csv"
+    diverged = ["cell,error,message", "train/0/qnn_basic_d1,TrainingDiverged,loss is nan"]
+    assert failures.read_text().splitlines() == diverged
+    assert not run_experiment(cfg.only("cnn_base")).failures
+    assert failures.read_text().splitlines() == diverged
+    assert not run_experiment(cfg.only("qnn_basic_d1")).failures
+    assert not failures.exists()
+
+
 def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
     """Cell-major loop: each (seed, cell, test file) is corrupted and
     log-Mel'd once and scored by every model."""
@@ -754,6 +778,17 @@ def test_reports_match_characterized_bytes(tmp_path, name):
             assert got.exists() == expected.exists(), (order, fname)
             if expected.exists():
                 assert got.read_bytes() == expected.read_bytes(), (order, fname)
+
+
+def test_report_accuracy_csv_makes_its_out_directory(tmp_path):
+    _write_accuracy_csv(tmp_path / "accuracy.csv", _report_fixture_rows("two_seeds"))
+    out = tmp_path / "missing" / "reports"
+    assert harness.report_accuracy_csv(tmp_path / "accuracy.csv", out) == []
+    for fname in REPORT_FILES:
+        expected = REPORT_DATA / "two_seeds" / fname
+        assert (out / fname).exists() == expected.exists(), fname
+        if expected.exists():
+            assert (out / fname).read_bytes() == expected.read_bytes(), fname
 
 
 def test_undefined_fixture_covers_both_undefined_metrics():
