@@ -551,10 +551,10 @@ def run_experiment(
     merged = {}
     for name, header in _TABLES.items():  # rows sorted by every column but the value
         merged[name] = sorted(new[name] + earlier[name], key=lambda r: r[:-1])
-        if merged[name] or name != "failures.csv":
-            write_csv(out_dir / name, header, merged[name])
-        else:  # no failure is left
+        if name == "failures.csv" and not merged[name]:  # no failure is left
             (out_dir / name).unlink(missing_ok=True)
+        else:
+            write_csv(out_dir / name, header, merged[name])
     if any(r[4] != "clean" for r in merged["accuracy.csv"]):
         report_accuracy_csv(out_dir / "accuracy.csv", out_dir)
     else:  # no corrupted cell, so no report
