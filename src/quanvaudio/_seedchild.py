@@ -3,10 +3,11 @@
 
     python -m quanvaudio._seedchild '{"config": {...}, "seed_idx": 1, ...}'
 
-The seed writes its own checkpoints and histories. Its accuracy rows,
-confusion rows and failures, or the exception that aborted it, go to
-standard output as one JSON document; anything else the seed prints goes
-to standard error, so it cannot corrupt that document.
+The seed writes its own checkpoints and histories. Its rows of each of
+the sweep's tables, by table name as ``harness._run_seed`` returns them,
+or the exception that aborted it, go to standard output as one JSON
+document; anything else the seed prints goes to standard error, so it
+cannot corrupt that document.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def main(job_json: str) -> int:
     os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
     cfg = harness.ExperimentConfig.from_dict(job["config"])
     try:
-        result = harness._run_seed(
+        tables = harness._run_seed(
             cfg, job["seed_idx"],
             harness.load_manifest(cfg.data_root, cfg.manifest_csv), job["reuse_checkpoints"],
         )
@@ -34,8 +35,7 @@ def main(job_json: str) -> int:
         logging.getLogger(__name__).exception("seed %d failed", job["seed_idx"])
         doc, code = {"error": [type(exc).__name__, str(exc)]}, 1
     else:
-        doc, code = {"accuracy_rows": result.accuracy_rows,
-                     "confusion_rows": result.confusion_rows, "failures": result.failures}, 0
+        doc, code = tables, 0
     with report:
         json.dump(doc, report)
     return code

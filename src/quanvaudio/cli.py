@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import corrupt as corruptmod
 from . import harness
-from .audio import load_wav, log_mel, write_wav
+from .audio import load_wav, write_wav
 from .corrupt import CorruptionKind
 from .qsim import Template, build_circuit
 from .quanv import PATCH_QUBITS, quanv_forward
@@ -57,7 +57,7 @@ def cmd_featurize(args) -> int:
         if sources.setdefault(target, wav_path) != wav_path:
             raise ValueError(f"{sources[target]} and {wav_path} would both write {target}")
     for target, wav_path in sources.items():
-        gram = log_mel(load_wav(wav_path)).values
+        gram = harness.clean_gram(wav_path)
         target.parent.mkdir(parents=True, exist_ok=True)
         features = gram if circuit is None else quanv_forward(gram, circuit)
         save_tensor(target, features, layout=layout)

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -403,22 +403,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 ACCURACY_HEADER = ["seed", "model", "template", "depth", "kind", "severity", "accuracy"]
 CONFUSION_HEADER = ["seed", "model", "kind", "severity", "true", "pred", "count"]
-FAILURES_HEADER = ["cell", "error", "message"]
+FAILURES_HEADER = ["seed", "model", "kind", "severity", "error", "message"]
 _TABLES = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER,
            "failures.csv": FAILURES_HEADER}
 _REPORTS = ("report.csv", "report_per_seed.csv", "report_problems.csv")
 _COLUMN_TYPES = {"seed": int, "depth": int, "severity": int, "count": int, "accuracy": float}
 # the columns that name a row's cell, which a table holds one row of
 _CELL_COLUMNS = ("seed", "model", "kind", "severity", "true", "pred")
-
-
-def _failure_pair(cell: str) -> tuple[int, str]:
-    """The (seed, model) a failures.csv cell names: ``train/<seed>/<model>``
-    or ``eval/<seed>/<model>/<kind>/<severity>``."""
-    parts = cell.split("/")
-    if len(parts) == {"train": 3, "eval": 5}.get(parts[0]) and parts[1].isdecimal() and parts[2]:
-        return int(parts[1]), parts[2]
-    raise ValueError(f"cell {cell!r} names no seed and model")
 
 
 def read_table(path: str | Path, header: list[str]) -> list[list]:
@@ -429,9 +420,10 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
     for one, a value that does not parse, or a row that breaks a rule of
     the sweep's tables: a clean row has severity 0, any other a known kind
     and a severity in 1..6; an accuracy lies in [0, 1]; a count is not
-    negative; a failure's cell names a seed and a model; and no two rows
-    share a cell, (seed, model, kind, severity) and in ``confusion.csv``
-    (true, pred)."""
+    negative; and no two rows share a cell, (seed, model, kind, severity)
+    and in ``confusion.csv`` (true, pred). A ``failures.csv`` row follows
+    the same rules, so an old one keyed by a ``cell`` column is refused
+    by its header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])
@@ -447,9 +439,6 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
                     raise ValueError(f"{len(rec)} fields, not the header's {len(header)}")
                 rows.append([_COLUMN_TYPES.get(c, str)(v) for c, v in zip(header, rec)])
                 row = dict(zip(header, rows[-1]))
-                if "cell" in row:  # a failures.csv row
-                    _failure_pair(row["cell"])
-                    continue
                 kind, sev = row["kind"], row["severity"]
                 if kind != "clean":
                     CorruptionKind(kind)  # an unknown kind is a ValueError
@@ -475,13 +464,24 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
 @dataclass
 class SweepResult:
     out_dir: Path
-    accuracy_rows: list[list] = field(default_factory=list)
-    confusion_rows: list[list] = field(default_factory=list)  # CONFUSION_HEADER rows
-    # (cell, exception type name, message), one per failed train or eval cell
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    failures: list[list]  # this run's FAILURES_HEADER rows, one per cell it could not score
 
-    def record_failure(self, cell: str, exc: Exception) -> None:
-        self.failures.append((cell, type(exc).__name__, str(exc)))
+
+# The fields a run into an output directory may change from the config.yaml
+# an earlier run left there: those that narrow a run or only place its files.
+_MERGEABLE_FIELDS = {"output_dir", "cache_dir", "models", "depths", "corruptions",
+                     "severities", "n_seeds"}
+
+
+def _check_same_config(cfg: ExperimentConfig, path: Path) -> None:
+    """A ValueError naming the first field, outside ``_MERGEABLE_FIELDS``,
+    in which ``cfg`` differs from the config.yaml at ``path``."""
+    earlier = ExperimentConfig.from_yaml(path)
+    for f in fields(ExperimentConfig):
+        ours, theirs = getattr(cfg, f.name), getattr(earlier, f.name)
+        if f.name not in _MERGEABLE_FIELDS and ours != theirs:
+            raise ValueError(f"{path} has {f.name} {theirs!r}, not this run's {ours!r}; "
+                             "a run merges only into tables of the same config")
 
 
 def run_experiment(
@@ -498,18 +498,18 @@ def run_experiment(
     in a child interpreter on one BLAS thread that keeps its freed heap
     (``_child_env``), and a seed that aborts raises ``SeedFailed``.
     ``jobs=1``, one seed or one core run the seeds in this process one
-    after the other. Either way this process then writes every table:
-    ``accuracy.csv``, ``confusion.csv`` and ``failures.csv`` (removed when
-    no failure is left). They keep what earlier runs into
-    ``cfg.output_dir`` wrote for the (seed, model) pairs this run does not
-    score, read and checked by ``read_table`` before any seed starts, and
-    replace the rest; so per-model runs into one directory add up to the
-    run of the whole config. The reports are what ``quanvaudio report``
-    makes of the merged ``accuracy.csv``, and are removed when it has no
-    corrupted row. A failed training run or cell is recorded and the sweep
-    goes on; the result's ``failures`` are this run's. With
-    ``reuse_checkpoints`` an existing checkpoint file is loaded instead of
-    retraining.
+    after the other. Either way this process then merges the seeds' rows
+    into each table of ``_TABLES`` (``failures.csv`` is removed when no
+    failure is left). Each keeps what earlier runs into ``cfg.output_dir``
+    wrote for the (seed, model) pairs this run does not score, read and
+    checked by ``read_table`` before any seed starts, and replaces the
+    rest; so per-model runs into one directory, each matching its
+    ``config.yaml`` in every field but ``_MERGEABLE_FIELDS``, add up to the
+    run of the whole config. The reports are what ``quanvaudio report`` makes of the
+    merged ``accuracy.csv``, and are removed when it has no corrupted row.
+    A cell that cannot be scored is a failure row and the sweep goes on;
+    the result's ``failures`` are this run's. With ``reuse_checkpoints`` an
+    existing checkpoint file is loaded instead of retraining.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -518,8 +518,10 @@ def run_experiment(
     out_dir = Path(cfg.output_dir)
     instances = cfg.instances()
     scored = {(seed_idx, inst.model_id) for seed_idx in range(cfg.n_seeds) for inst in instances}
+    if (out_dir / "config.yaml").exists():
+        _check_same_config(cfg, out_dir / "config.yaml")
     earlier = {  # read and checked by read_table before anything is written or trained
-        name: [r for r in read_table(out_dir / name, header) if _pair(name, r) not in scored]
+        name: [r for r in read_table(out_dir / name, header) if (r[0], r[1]) not in scored]
         if (out_dir / name).exists() else [] for name, header in _TABLES.items()
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,14 +542,7 @@ def run_experiment(
         seeds = [_run_seed(cfg, seed_idx, manifest, reuse_checkpoints)
                  for seed_idx in range(cfg.n_seeds)]
 
-    result = SweepResult(out_dir)
-    for seed in seeds:
-        result.accuracy_rows += seed.accuracy_rows
-        result.confusion_rows += seed.confusion_rows
-        result.failures += seed.failures
-    result.failures.sort(key=lambda f: f[0])  # by cell, like the accuracy rows
-    new = {"accuracy.csv": result.accuracy_rows, "confusion.csv": result.confusion_rows,
-           "failures.csv": [list(f) for f in result.failures]}
+    new = {name: [row for seed in seeds for row in seed[name]] for name in _TABLES}
     merged = {}
     for name, header in _TABLES.items():  # rows sorted by every column but the value
         merged[name] = sorted(new[name] + earlier[name], key=lambda r: r[:-1])
@@ -560,19 +555,19 @@ def run_experiment(
     else:  # no corrupted cell, so no report
         for name in _REPORTS:
             (out_dir / name).unlink(missing_ok=True)
-    if result.failures:
-        log.warning("sweep finished with %d failed cells", len(result.failures))
-    return result
+    if new["failures.csv"]:
+        log.warning("sweep finished with %d failed cells", len(new["failures.csv"]))
+    return SweepResult(out_dir, new["failures.csv"])
 
 
-def _pair(table: str, row: list) -> tuple[int, str]:
-    """The (seed, model) of a checked row of the sweep's table ``table``."""
-    return _failure_pair(row[0]) if table == "failures.csv" else (row[0], row[1])
+def _failure(seed_idx: int, model_id: str, kind: str, severity: int, exc: Exception) -> list:
+    """The ``failures.csv`` row of a cell that ``exc`` kept from being scored."""
+    return [seed_idx, model_id, kind, severity, type(exc).__name__, str(exc)]
 
 
 def _run_seed(
     cfg: ExperimentConfig, seed_idx: int, manifest: DatasetManifest, reuse_checkpoints: bool
-) -> SweepResult:
+) -> dict[str, list[list]]:
     """One seed of ``run_experiment``: split, build the clean grams, then
     train every model on its clean train/val features (each model's
     features are dropped once it is trained). Then, for each test cell --
@@ -580,14 +575,13 @@ def _run_seed(
     cell's test grams once and evaluate every trained model on them, so
     each corrupted test file is corrupted and log-Mel'd once per seed,
     whatever the number of models. Writes the seed's checkpoints and
-    histories, and returns its accuracy rows, confusion rows (a count for
-    every pair of ``manifest.labels``) and failures."""
+    histories, and returns its rows of each table by name: a failure row
+    for each cell of a (seed, model) it could not score, and for each
+    other an accuracy row and a confusion count per pair of labels."""
     out_dir = Path(cfg.output_dir)
     instances = cfg.instances()
-    cells = [(None, 0)] + [
-        (CorruptionKind(kind), sev) for kind in cfg.corruptions for sev in cfg.severities
-    ]
-    result = SweepResult(out_dir)
+    cells = [("clean", 0)] + [(kind, sev) for kind in cfg.corruptions for sev in cfg.severities]
+    tables: dict[str, list[list]] = {name: [] for name in _TABLES}
     # `reuse_checkpoints` yields params, not networks, and a scoring network
     # holds no training gradients, so one network per kind scores them all.
     nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
@@ -636,7 +630,8 @@ def _run_seed(
                     ),
                 )
             except nnmod.TrainingDiverged as exc:
-                result.record_failure(f"train/{seed_idx}/{inst.model_id}", exc)
+                tables["failures.csv"] += [_failure(seed_idx, inst.model_id, kind, sev, exc)
+                                           for kind, sev in cells]
                 continue
             write_csv(
                 out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
@@ -651,20 +646,19 @@ def _run_seed(
         trained.append((inst, params))
 
     for kind, sev in cells:
-        kind_name = "clean" if kind is None else kind.value
-        cell = f"{kind_name}/{sev}"
+        cell = f"{kind}/{sev}"
         try:
             test_grams = [
-                grams[r.path] if kind is None else corrupted_gram(
-                    r.path,
-                    corruption_spec(cfg.master_seed, seed_idx, kind, sev, test_hashes[r.path]),
+                grams[r.path] if kind == "clean" else corrupted_gram(
+                    r.path, corruption_spec(cfg.master_seed, seed_idx, CorruptionKind(kind), sev,
+                                            test_hashes[r.path]),
                 )
                 for r in test_rows
             ]
         except Exception as exc:  # no test set for this cell; keep sweeping
             log.exception("cell failed: seed=%d cell=%s", seed_idx, cell)
-            for inst, _ in trained:
-                result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
+            tables["failures.csv"] += [_failure(seed_idx, inst.model_id, kind, sev, exc)
+                                       for inst, _ in trained]
             continue
         for inst, params in trained:
             try:
@@ -676,18 +670,18 @@ def _run_seed(
             except Exception as exc:  # cell failure; keep sweeping
                 log.exception("cell failed: seed=%d model=%s cell=%s",
                               seed_idx, inst.model_id, cell)
-                result.record_failure(f"eval/{seed_idx}/{inst.model_id}/{cell}", exc)
+                tables["failures.csv"].append(_failure(seed_idx, inst.model_id, kind, sev, exc))
                 continue
-            result.accuracy_rows.append(
-                [seed_idx, inst.model_id, inst.template, inst.depth, kind_name, sev, acc]
+            tables["accuracy.csv"].append(
+                [seed_idx, inst.model_id, inst.template, inst.depth, kind, sev, acc]
             )
             counts = metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist()
-            result.confusion_rows += [
-                [seed_idx, inst.model_id, kind_name, sev, true, pred, counts[i][j]]
+            tables["confusion.csv"] += [
+                [seed_idx, inst.model_id, kind, sev, true, pred, counts[i][j]]
                 for i, true in enumerate(manifest.labels)
                 for j, pred in enumerate(manifest.labels)
             ]
-    return result
+    return tables
 
 
 class SeedFailed(RuntimeError):
@@ -722,12 +716,13 @@ def _child_env() -> dict[str, str]:
 
 def _run_seeds_in_children(
     cfg: ExperimentConfig, workers: int, reuse_checkpoints: bool
-) -> list[SweepResult]:
+) -> list[dict[str, list[list]]]:
     """Run every seed of ``cfg`` in a child interpreter (``_seedchild``),
-    ``workers`` at a time, and return their results in seed order.
+    ``workers`` at a time, and return their ``_run_seed`` tables in seed
+    order.
 
     Each child writes its seed's checkpoints and histories itself and
-    sends its rows and failures back as one JSON document on its standard
+    sends its rows of each table back as one JSON document on its standard
     output; its standard error is this process's. Every child is reaped
     before this returns or raises: on a failed seed, an interrupt or any
     other error, the children still running are killed first."""
@@ -740,7 +735,7 @@ def _run_seeds_in_children(
            "reuse_checkpoints": reuse_checkpoints}
     pending = list(range(cfg.n_seeds))
     running: dict[int, tuple[int, subprocess.Popen, list[bytes]]] = {}  # by stdout fd
-    results: dict[int, SweepResult] = {}
+    results: dict[int, dict[str, list[list]]] = {}
     with selectors.DefaultSelector() as selector:
         try:
             while pending or running:
@@ -763,7 +758,7 @@ def _run_seeds_in_children(
                     del running[key.fd]
                     proc.stdout.close()
                     proc.wait()
-                    results[seed_idx] = _child_result(cfg, seed_idx, proc.returncode,
+                    results[seed_idx] = _child_result(seed_idx, proc.returncode,
                                                       b"".join(chunks))
         finally:
             for _, proc, _ in running.values():
@@ -774,12 +769,10 @@ def _run_seeds_in_children(
     return [results[seed_idx] for seed_idx in range(cfg.n_seeds)]
 
 
-def _child_result(cfg: ExperimentConfig, seed_idx: int, returncode: int,
-                  output: bytes) -> SweepResult:
+def _child_result(seed_idx: int, returncode: int, output: bytes) -> dict[str, list[list]]:
+    """The tables a seed child sent, or its error raised as ``SeedFailed``."""
     if returncode == 0:
-        doc = json.loads(output)
-        return SweepResult(Path(cfg.output_dir), doc["accuracy_rows"], doc["confusion_rows"],
-                           [tuple(f) for f in doc["failures"]])
+        return json.loads(output)
     try:
         reason = "{}: {}".format(*json.loads(output)["error"])
     except (ValueError, KeyError, TypeError):  # it died before it could report

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,41 +306,70 @@ def _two_model_config(toy_root, tmp_path, n_seeds):
 
 
 CLEAN_ROW = "0,cnn_base,-,0,clean,0,0.5"
+ACC, CONF, FAIL = (",".join(h) for h in (ACCURACY_HEADER, CONFUSION_HEADER, FAILURES_HEADER))
+DIVERGED = "0,cnn_base,clean,0,TrainingDiverged,loss is nan"
 
 
 @pytest.mark.parametrize("table, lines, problem", [
-    ("accuracy.csv", [CLEAN_ROW, "", "0,cnn_base,-,0,gaussian_noise,1,0.5"],
+    ("accuracy.csv", [ACC, CLEAN_ROW, "", "0,cnn_base,-,0,gaussian_noise,1,0.5"],
      ", line 3: 0 fields, not the header's 7"),
-    ("accuracy.csv", [CLEAN_ROW, "0,cnn_base,-,0,gaussian_noise"],
+    ("accuracy.csv", [ACC, CLEAN_ROW, "0,cnn_base,-,0,gaussian_noise"],
      ", line 3: 5 fields, not the header's 7"),
-    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "one,cnn_base,clean,0,high,low,0"],
+    ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "one,cnn_base,clean,0,high,low,0"],
      ", line 3: invalid literal for int() with base 10: 'one'"),
-    ("accuracy.csv", ["0,cnn_base,-,0,clean,0,1.5"], ", line 2: accuracy 1.5 outside [0, 1]"),
-    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,low,-1"],
+    ("accuracy.csv", [ACC, "0,cnn_base,-,0,clean,0,1.5"], ", line 2: accuracy 1.5 outside [0, 1]"),
+    ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,low,-1"],
      ", line 3: count -1 below 0"),
-    ("confusion.csv", ["0,cnn_base,loud_noise,1,high,high,3"],
+    ("confusion.csv", [CONF, "0,cnn_base,loud_noise,1,high,high,3"],
      ", line 2: 'loud_noise' is not a valid CorruptionKind"),
-    ("confusion.csv", ["0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,high,2"],
+    ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,high,2"],
      ", line 3: a second clean severity 0 row for seed 0, model cnn_base, true high, pred high"),
-    ("failures.csv", ["train/0/cnn_base,TrainingDiverged,loss is nan", "cnn_base,ValueError,x"],
-     ", line 3: cell 'cnn_base' names no seed and model"),
+    ("failures.csv", [FAIL, DIVERGED, ",cnn_base,gaussian_noise,1,TrainingDiverged,loss is nan"],
+     ", line 3: invalid literal for int() with base 10: ''"),
+    ("failures.csv", [FAIL, "0,cnn_base,loud_noise,1,TrainingDiverged,loss is nan"],
+     ", line 2: 'loud_noise' is not a valid CorruptionKind"),
+    ("failures.csv", [FAIL, "0,cnn_base,pitch_shift,7,FileNotFoundError,x.wav"],
+     ", line 2: severity 7 outside 1..6"),
+    ("failures.csv", [FAIL, DIVERGED, "0,cnn_base,clean,0,ValueError,x"],
+     ", line 3: a second clean severity 0 row for seed 0, model cnn_base"),
+    ("failures.csv", ["cell,error,message", "train/0/cnn_base,TrainingDiverged,loss is nan"],
+     ": no seed, model, kind, severity column in its header"),
 ], ids=["blank_line", "short_row", "non_integer_seed", "accuracy_out_of_range", "negative_count",
-        "unknown_kind", "repeated_confusion_cell", "failure_cell_without_seed"])
+        "unknown_kind", "repeated_confusion_cell", "failure_cell_without_seed",
+        "failure_unknown_kind", "failure_severity_out_of_range", "repeated_failure_cell",
+        "old_failures_header"])
 def test_malformed_earlier_table_stops_evaluate_before_training(toy_root, tmp_path, capsys,
                                                                 table, lines, problem):
     """`evaluate --model` reads what earlier runs left in its directory
-    before any seed starts: a malformed table is one error line, and
-    nothing is trained or written."""
+    before any seed starts: a malformed table, header first in ``lines``,
+    is one error line, and nothing is trained or written."""
     cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
     out = Path(cfg.output_dir)
     out.mkdir()
-    header = {"accuracy.csv": ACCURACY_HEADER, "confusion.csv": CONFUSION_HEADER,
-              "failures.csv": FAILURES_HEADER}[table]
-    (out / table).write_text("\n".join([",".join(header), *lines]) + "\n")
+    (out / table).write_text("\n".join(lines) + "\n")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert main(["evaluate", "--model", "qnn_basic_d1", "--config", config]) == 2
     assert _one_error_line(capsys, "evaluate") == f"{out / table}{problem}"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_run_of_another_config_is_refused_before_training(toy_root, tmp_path, capsys):
+    """A run into a directory whose config.yaml differs in a field that is
+    not narrowed per run (here the master seed, and so every split) would
+    merge models scored on different test sets: it is one error line, and
+    nothing is trained or written."""
+    cfg, config = _two_model_config(toy_root, tmp_path, n_seeds=1)
+    out = Path(cfg.output_dir)
+    assert main(["train", "--model", "cnn_base", "--config", config]) == 0
+    reseeded = tmp_path / "reseeded.yaml"
+    replace(cfg, master_seed=7).to_yaml(reseeded)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["train", "--model", "qnn_basic_d1", "--config", str(reseeded)]) == 2
+    assert _one_error_line(capsys, "train") == (
+        f"{out / 'config.yaml'} has master_seed 0, not this run's 7; "
+        "a run merges only into tables of the same config")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

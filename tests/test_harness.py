@@ -253,16 +253,12 @@ def mini_result(toy_root, tmp_path_factory):
 def test_mini_sweep_accuracy_rows(mini_result):
     cfg, result = mini_result
     assert not result.failures
+    rows = harness.read_table(result.out_dir / "accuracy.csv", harness.ACCURACY_HEADER)
     # per model: 1 clean + 2 kinds x 1 severity
-    assert len(result.accuracy_rows) == 2 * (1 + 2)
-    for row in result.accuracy_rows:
-        seed, model, template, depth, kind, sev, acc = row
+    assert len(rows) == 2 * (1 + 2)
+    for seed, model, template, depth, kind, sev, acc in rows:
         assert model in ("cnn_base", "qnn_basic_d1")
         assert 0.0 <= acc <= 1.0
-    with open(result.out_dir / "accuracy.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(result.accuracy_rows)
-    assert set(rows[0]) == set(harness.ACCURACY_HEADER)
 
 
 def test_mini_sweep_artifacts(mini_result):
@@ -381,7 +377,8 @@ except ValueError as exc:
     assert "raised: seed 0: 1 test files also in train/val" in proc.stdout
 
 
-def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
+def _diverge_quanv(patch):
+    """Make every quanvolutional model's training diverge under ``patch``."""
     real_train = nn.train
 
     def diverge_quanv(model, train_x, *args):
@@ -389,40 +386,71 @@ def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
             raise nn.TrainingDiverged("loss is nan")
         return real_train(model, train_x, *args)
 
-    def no_audio(path, spec):
-        raise FileNotFoundError(path)
+    patch.setattr(harness.nnmod, "train", diverge_quanv)
 
-    monkeypatch.setattr(harness.nnmod, "train", diverge_quanv)
-    monkeypatch.setattr(harness, "corrupted_gram", no_audio)
+
+def _lose_audio(patch, kind, severity):
+    """Make building a corrupted gram of cell (``kind``, ``severity``)
+    raise under ``patch``."""
+    real_gram = harness.corrupted_gram
+
+    def no_audio(path, spec):
+        if (spec.kind.value, spec.severity_index) == (kind, severity):
+            raise FileNotFoundError(path)
+        return real_gram(path, spec)
+
+    patch.setattr(harness, "corrupted_gram", no_audio)
+
+
+def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
+    _diverge_quanv(monkeypatch)
+    _lose_audio(monkeypatch, "gaussian_noise", 2)
     cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"))
     result = run_experiment(cfg)
-    with open(result.out_dir / "failures.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["cell"], r["error"]) for r in rows] == [
-        ("eval/0/cnn_base/gaussian_noise/2", "FileNotFoundError"),
-        ("train/0/qnn_basic_d1", "TrainingDiverged"),
+    rows = harness.read_table(result.out_dir / "failures.csv", harness.FAILURES_HEADER)
+    assert [r[:5] for r in rows] == [
+        [0, "cnn_base", "gaussian_noise", 2, "FileNotFoundError"],
+        [0, "qnn_basic_d1", "clean", 0, "TrainingDiverged"],
+        [0, "qnn_basic_d1", "gaussian_noise", 2, "TrainingDiverged"],
     ]
-    assert rows[1]["message"] == "loss is nan"
-    assert result.failures[1] == ("train/0/qnn_basic_d1", "TrainingDiverged", "loss is nan")
+    assert rows[1][5] == "loss is nan"
+    assert sorted(result.failures) == rows
+
+
+def test_accuracy_and_failures_hold_every_configured_cell_once(toy_root, tmp_path, monkeypatch):
+    """With one model diverged and one cell's test set lost, accuracy.csv
+    and failures.csv name disjoint cells that together are every configured
+    (seed, model, kind, severity)."""
+    _diverge_quanv(monkeypatch)
+    _lose_audio(monkeypatch, "gaussian_noise", 2)
+    cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"), n_seeds=2,
+                       corruptions=("gaussian_noise", "temporal_shift"), severities=(1, 2))
+    run_experiment(cfg, jobs=1)
+    accuracy = harness.read_table(tmp_path / "accuracy.csv", harness.ACCURACY_HEADER)
+    failures = harness.read_table(tmp_path / "failures.csv", harness.FAILURES_HEADER)
+    scored = {(seed, model, kind, sev) for seed, model, _, _, kind, sev, _ in accuracy}
+    failed = {tuple(r[:4]) for r in failures}
+    assert not scored & failed
+    assert scored | failed == {
+        (seed, inst.model_id, kind, sev) for seed in range(2) for inst in cfg.instances()
+        for kind, sev in [("clean", 0)] + [(k, s) for k in cfg.corruptions for s in (1, 2)]
+    }
+    assert {(k, s) for _, m, k, s in failed if m == "cnn_base"} == {("gaussian_noise", 2)}
+    assert {m for _, m, _, _ in scored} == {"cnn_base"}
 
 
 def test_failures_follow_the_per_model_merge(toy_root, tmp_path, monkeypatch):
     """failures.csv merges like the tables: a rerun of another model keeps
-    a diverged model's failure, and a clean rerun of that model drops it,
-    and with it the file."""
-    real_train = nn.train
-
-    def diverge_quanv(model, train_x, *args):
-        if train_x.shape[1] == 4:  # quanvolution features have 4 channels
-            raise nn.TrainingDiverged("loss is nan")
-        return real_train(model, train_x, *args)
-
+    a diverged model's failures, and a clean rerun of that model drops
+    them, and with them the file."""
     cfg = _tiny_config(toy_root, tmp_path, models=("cnn_base", "qnn_basic"))
     with monkeypatch.context() as patch:
-        patch.setattr(harness.nnmod, "train", diverge_quanv)
-        assert len(run_experiment(cfg).failures) == 1
+        _diverge_quanv(patch)
+        assert len(run_experiment(cfg).failures) == 2
     failures = tmp_path / "failures.csv"
-    diverged = ["cell,error,message", "train/0/qnn_basic_d1,TrainingDiverged,loss is nan"]
+    diverged = [",".join(harness.FAILURES_HEADER),
+                "0,qnn_basic_d1,clean,0,TrainingDiverged,loss is nan",
+                "0,qnn_basic_d1,gaussian_noise,2,TrainingDiverged,loss is nan"]
     assert failures.read_text().splitlines() == diverged
     assert not run_experiment(cfg.only("cnn_base")).failures
     assert failures.read_text().splitlines() == diverged
@@ -452,7 +480,9 @@ def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
                      corruptions=("gaussian_noise", "temporal_shift"))
 
     result = run_experiment(_tiny_config(toy_root, tmp_path, **two_cells))
-    assert not result.failures and len(result.accuracy_rows) == 2 * (1 + 2)
+    assert not result.failures
+    rows = harness.read_table(tmp_path / "accuracy.csv", harness.ACCURACY_HEADER)
+    assert len(rows) == 2 * (1 + 2)  # per model: 1 clean + 2 kinds x 1 severity
     assert counts == {"apply": 2 * n_test, "quanv": n_all + 2 * n_test}
 
 
