@@ -43,7 +43,6 @@ def _seed_index(text: str) -> int:
 
 def cmd_featurize(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     circuit = None
     if args.template:
         circuit = build_circuit(args.template, PATCH_QUBITS, args.depth, args.circuit_seed)
@@ -56,9 +55,10 @@ def cmd_featurize(args) -> int:
         target = (out_dir / rel).with_suffix(suffix)
         if sources.setdefault(target, wav_path) != wav_path:
             raise ValueError(f"{sources[target]} and {wav_path} would both write {target}")
+    for directory in sorted({out_dir, *(target.parent for target in sources)}):
+        directory.mkdir(parents=True, exist_ok=True)
     for target, wav_path in sources.items():
         gram = harness.clean_gram(wav_path)
-        target.parent.mkdir(parents=True, exist_ok=True)
         features = gram if circuit is None else quanv_forward(gram, circuit)
         save_tensor(target, features, layout=layout)
     return 0
@@ -66,19 +66,19 @@ def cmd_featurize(args) -> int:
 
 def cmd_corrupt(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = CorruptionKind(args.kind)
+    rels = [wav_path.relative_to(in_dir) for wav_path in _iter_wavs(in_dir, None)]
+    for directory in sorted({out_dir, *(out_dir / rel.parent for rel in rels)}):
+        directory.mkdir(parents=True, exist_ok=True)
     sidecar_rows = []
-    for wav_path in _iter_wavs(in_dir, None):
-        rel = wav_path.relative_to(in_dir)
+    for rel in rels:
+        wav_path = in_dir / rel
         spec = harness.corruption_spec(
             args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
         )
         w = load_wav(wav_path)
         value = corruptmod.draw(spec, w)
-        out_path = out_dir / rel
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_wav(out_path, corruptmod.apply_drawn(spec, w, value))
+        write_wav(out_dir / rel, corruptmod.apply_drawn(spec, w, value))
         sidecar_rows.append([str(rel), kind.value, spec.severity_value, value])
     harness.write_csv(out_dir / "corruption_log.csv",
                       ["file", "kind", "severity_value", "drawn_parameter"], sidecar_rows)

@@ -156,19 +156,15 @@ def _apportion_splits(
     }
     left = {lab: class_sizes[lab] - sum(base[lab]) for lab in class_sizes}
     deficit = [targets[s] - sum(base[lab][s] for lab in class_sizes) for s in range(3)]
-    remainders = sorted(
-        (
-            (ratios[s] * class_sizes[lab] - base[lab][s], lab, s)
-            for lab in class_sizes
-            for s in range(3)
-        ),
-        key=lambda item: (-item[0], item[1], item[2]),
-    )
-    for _, lab, s in remainders:
-        if left[lab] > 0 and deficit[s] > 0:
-            base[lab][s] += 1
-            left[lab] -= 1
-            deficit[s] -= 1
+    # remainders negated, so the largest sorts first, then by label and split
+    remainders = sorted((base[lab][s] - ratios[s] * class_sizes[lab], lab, s)
+                        for lab in class_sizes for s in range(3))
+    while any(left.values()):  # one pass can leave a class's clip with no split
+        for _, lab, s in remainders:
+            if left[lab] > 0 and deficit[s] > 0:
+                base[lab][s] += 1
+                left[lab] -= 1
+                deficit[s] -= 1
     return {lab: tuple(vals) for lab, vals in base.items()}
 
 
@@ -417,13 +413,13 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
     typed so that it renders through ``_fmt`` to the text it was read from.
     Any other header is a ValueError naming the file (and the missing
     columns); so is, with the line, a row whose fields do not match it one
-    for one, a value that does not parse, or a row that breaks a rule of
-    the sweep's tables: a clean row has severity 0, any other a known kind
-    and a severity in 1..6; an accuracy lies in [0, 1]; a count is not
-    negative; and no two rows share a cell, (seed, model, kind, severity)
-    and in ``confusion.csv`` (true, pred). A ``failures.csv`` row follows
-    the same rules, so an old one keyed by a ``cell`` column is refused
-    by its header."""
+    for one, a value that does not parse (and its column), or a row that
+    breaks a rule of the sweep's tables: a clean row has severity 0, any
+    other a known kind and a severity in 1..6; an accuracy lies in [0, 1]; a
+    count is not negative; and no two rows share a cell, (seed, model, kind,
+    severity) and in ``confusion.csv`` (true, pred). A ``failures.csv`` row
+    follows the same rules, so an old one keyed by a ``cell`` column is
+    refused by its header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, [])
@@ -437,8 +433,13 @@ def read_table(path: str | Path, header: list[str]) -> list[list]:
             for rec in reader:  # a blank line is a row of no fields
                 if len(rec) != len(header):
                     raise ValueError(f"{len(rec)} fields, not the header's {len(header)}")
-                rows.append([_COLUMN_TYPES.get(c, str)(v) for c, v in zip(header, rec)])
-                row = dict(zip(header, rows[-1]))
+                row = {}
+                for column, text in zip(header, rec):
+                    try:
+                        row[column] = _COLUMN_TYPES.get(column, str)(text)
+                    except ValueError as exc:
+                        raise ValueError(f"column {column}: {exc}") from None
+                rows.append(list(row.values()))
                 kind, sev = row["kind"], row["severity"]
                 if kind != "clean":
                     CorruptionKind(kind)  # an unknown kind is a ValueError
@@ -569,10 +570,11 @@ def _run_seed(
     cfg: ExperimentConfig, seed_idx: int, manifest: DatasetManifest, reuse_checkpoints: bool
 ) -> dict[str, list[list]]:
     """One seed of ``run_experiment``: split, build the clean grams, then
-    train every model on its clean train/val features (each model's
-    features are dropped once it is trained). Then, for each test cell --
+    build each model's network once and train it in place on its clean
+    train/val features (each model's features are dropped once it is
+    trained), or load its checkpoint into it. Then, for each test cell --
     the clean test set first, then every (kind, severity) -- build the
-    cell's test grams once and evaluate every trained model on them, so
+    cell's test grams once and score each model through its network, so
     each corrupted test file is corrupted and log-Mel'd once per seed,
     whatever the number of models. Writes the seed's checkpoints and
     histories, and returns its rows of each table by name: a failure row
@@ -582,9 +584,6 @@ def _run_seed(
     instances = cfg.instances()
     cells = [("clean", 0)] + [(kind, sev) for kind in cfg.corruptions for sev in cfg.severities]
     tables: dict[str, list[list]] = {name: [] for name in _TABLES}
-    # `reuse_checkpoints` yields params, not networks, and a scoring network
-    # holds no training gradients, so one network per kind scores them all.
-    nets = {inst.kind: nnmod.build_model(inst.kind, manifest.n_classes, 0) for inst in instances}
 
     train_rows, val_rows, test_rows = split(
         manifest, cfg.split_ratios, derive_seed(cfg.master_seed, f"{seed_idx}/split")
@@ -603,8 +602,12 @@ def _run_seed(
         for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
     }
 
-    trained: list[tuple[ModelInstance, dict[str, np.ndarray]]] = []
+    trained: list[tuple[ModelInstance, nnmod.Network]] = []
     for inst in instances:
+        net = nnmod.build_model(
+            inst.kind, manifest.n_classes,
+            derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
+        )
         ckpt_path = out_dir / f"checkpoint_{inst.model_id}_seed{seed_idx}.bin"
         if reuse_checkpoints and ckpt_path.exists():
             arch, n_classes, params = nnmod.load_checkpoint(ckpt_path)
@@ -613,14 +616,11 @@ def _run_seed(
                     f"{ckpt_path}: expected a {inst.kind} checkpoint for "
                     f"{manifest.n_classes} classes, found {arch} for {n_classes}"
                 )
+            net.set_params(params)
         else:
             try:
                 train_result = nnmod.train(
-                    nnmod.build_model(
-                        inst.kind,
-                        manifest.n_classes,
-                        derive_seed(cfg.master_seed, f"{seed_idx}/init/{inst.model_id}"),
-                    ),
+                    net,
                     _features([grams[r.path] for r in train_rows], inst.circuit),
                     labels["train"],
                     _features([grams[r.path] for r in val_rows], inst.circuit),
@@ -633,17 +633,12 @@ def _run_seed(
                 tables["failures.csv"] += [_failure(seed_idx, inst.model_id, kind, sev, exc)
                                            for kind, sev in cells]
                 continue
-            write_csv(
-                out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
-                ["epoch", "train_loss", "val_loss", "val_acc"],
-                [
-                    [h["epoch"], h["train_loss"], h["val_loss"], h["val_acc"]]
-                    for h in train_result.history
-                ],
-            )
-            params = train_result.params
-            nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes, params)
-        trained.append((inst, params))
+            columns = ["epoch", "train_loss", "val_loss", "val_acc"]
+            write_csv(out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv", columns,
+                      [[h[c] for c in columns] for h in train_result.history])
+            nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes,
+                                  dict(net.parameters()))
+        trained.append((inst, net))
 
     for kind, sev in cells:
         cell = f"{kind}/{sev}"
@@ -660,10 +655,8 @@ def _run_seed(
             tables["failures.csv"] += [_failure(seed_idx, inst.model_id, kind, sev, exc)
                                        for inst, _ in trained]
             continue
-        for inst, params in trained:
+        for inst, net in trained:
             try:
-                net = nets[inst.kind]
-                net.set_params(params)
                 _, acc, preds = nnmod.evaluate(
                     net, _features(test_grams, inst.circuit), labels["test"]
                 )

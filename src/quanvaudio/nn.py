@@ -411,9 +411,7 @@ class Adam:
 
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]
     history: list[dict] = field(default_factory=list)
-    best_epoch: int = -1
     best_val_loss: float = np.inf
 
 
@@ -443,14 +441,17 @@ def train(
 ) -> TrainResult:
     """Minibatch training with early stopping on validation loss.
 
-    Stops after ``patience`` epochs without strict val-loss improvement
-    and returns the best-validation checkpoint.
+    Stops after ``patience`` epochs without strict val-loss improvement.
+    ``model`` is left holding the best-validation parameters and nothing
+    of its last step: every layer's ``grads`` is empty and, since the last
+    forward pass is ``evaluate``'s, every ``cache`` is None.
     """
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise ValueError("train and validation splits must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(cfg)
-    result = TrainResult(params=model.get_params())
+    result = TrainResult()
+    best = model.get_params()
     stale = 0
     params = dict(model.parameters())  # live views, updated in place
     for epoch in range(cfg.max_epochs):
@@ -474,14 +475,15 @@ def train(
         )
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            result.params = model.get_params()
+            best = model.get_params()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    model.set_params(result.params)
+    model.set_params(best)
+    for layer in model.layers:
+        layer.grads.clear()
     return result
 
 

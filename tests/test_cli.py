@@ -316,7 +316,7 @@ DIVERGED = "0,cnn_base,clean,0,TrainingDiverged,loss is nan"
     ("accuracy.csv", [ACC, CLEAN_ROW, "0,cnn_base,-,0,gaussian_noise"],
      ", line 3: 5 fields, not the header's 7"),
     ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "one,cnn_base,clean,0,high,low,0"],
-     ", line 3: invalid literal for int() with base 10: 'one'"),
+     ", line 3: column seed: invalid literal for int() with base 10: 'one'"),
     ("accuracy.csv", [ACC, "0,cnn_base,-,0,clean,0,1.5"], ", line 2: accuracy 1.5 outside [0, 1]"),
     ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,low,-1"],
      ", line 3: count -1 below 0"),
@@ -325,7 +325,7 @@ DIVERGED = "0,cnn_base,clean,0,TrainingDiverged,loss is nan"
     ("confusion.csv", [CONF, "0,cnn_base,clean,0,high,high,3", "0,cnn_base,clean,0,high,high,2"],
      ", line 3: a second clean severity 0 row for seed 0, model cnn_base, true high, pred high"),
     ("failures.csv", [FAIL, DIVERGED, ",cnn_base,gaussian_noise,1,TrainingDiverged,loss is nan"],
-     ", line 3: invalid literal for int() with base 10: ''"),
+     ", line 3: column seed: invalid literal for int() with base 10: ''"),
     ("failures.csv", [FAIL, "0,cnn_base,loud_noise,1,TrainingDiverged,loss is nan"],
      ", line 2: 'loud_noise' is not a valid CorruptionKind"),
     ("failures.csv", [FAIL, "0,cnn_base,pitch_shift,7,FileNotFoundError,x.wav"],

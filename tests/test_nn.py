@@ -879,8 +879,10 @@ def test_patience_resets_on_improvement():
     model = build_model("qnn_basic", 2, seed=18)
     cfg = TrainConfig(lr=1e-3, batch_size=20, max_epochs=100, patience=5, seed=19)
     result = train(model, x[:30], y[:30], x[30:], y[30:], cfg)
-    # epochs past best never exceed patience at the stop point
-    assert result.history[-1]["epoch"] - result.best_epoch <= cfg.patience
+    # epochs past best never exceed patience at the stop point; the best
+    # epoch is the first that reached the lowest validation loss
+    best = min(result.history, key=lambda h: h["val_loss"])
+    assert result.history[-1]["epoch"] - best["epoch"] <= cfg.patience
 
 
 def test_train_rejects_empty_splits():
