@@ -54,6 +54,21 @@ def test_split_100_balanced_is_65_15_20():
     assert (len(train), len(val), len(test)) == (65, 15, 20)
 
 
+def test_split_disjoint_and_exhaustive():
+    m = _manifest({"a": 23, "b": 31, "c": 17})
+    train, val, test = split(m, seed=1)
+    parts = [{r.path for r in part} for part in (train, val, test)]
+    assert sum(len(p) for p in parts) == len(m.rows)
+    assert parts[0] | parts[1] | parts[2] == {r.path for r in m.rows}
+    assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
+
+
+def test_split_stratified_every_class_everywhere():
+    m = _manifest({"a": 10, "b": 40, "c": 25})
+    for part in split(m, seed=2):
+        assert {r.label for r in part} == {"a", "b", "c"}
+
+
 def _largest_remainder(n: int, ratios) -> list[int]:
     """Floor of each ratio * n, then one more for the largest fractional
     parts (the earlier split on a tie) until the sizes sum to n."""
