@@ -156,9 +156,14 @@ def _apportion_splits(
     }
     left = {lab: class_sizes[lab] - sum(base[lab]) for lab in class_sizes}
     deficit = [targets[s] - sum(base[lab][s] for lab in class_sizes) for s in range(3)]
-    # remainders negated, so the largest sorts first, then by label and split
-    remainders = sorted((base[lab][s] - ratios[s] * class_sizes[lab], lab, s)
-                        for lab in class_sizes for s in range(3))
+    remainders = sorted(
+        (
+            (ratios[s] * class_sizes[lab] - base[lab][s], lab, s)
+            for lab in class_sizes
+            for s in range(3)
+        ),
+        key=lambda item: (-item[0], item[1], item[2]),
+    )
     while any(left.values()):  # one pass can leave a class's clip with no split
         for _, lab, s in remainders:
             if left[lab] > 0 and deficit[s] > 0:
@@ -633,9 +638,14 @@ def _run_seed(
                 tables["failures.csv"] += [_failure(seed_idx, inst.model_id, kind, sev, exc)
                                            for kind, sev in cells]
                 continue
-            columns = ["epoch", "train_loss", "val_loss", "val_acc"]
-            write_csv(out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv", columns,
-                      [[h[c] for c in columns] for h in train_result.history])
+            write_csv(
+                out_dir / f"history_{inst.model_id}_seed{seed_idx}.csv",
+                ["epoch", "train_loss", "val_loss", "val_acc"],
+                [
+                    [h["epoch"], h["train_loss"], h["val_loss"], h["val_acc"]]
+                    for h in train_result.history
+                ],
+            )
             nnmod.save_checkpoint(ckpt_path, inst.kind, manifest.n_classes,
                                   dict(net.parameters()))
         trained.append((inst, net))
