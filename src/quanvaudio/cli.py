@@ -25,13 +25,24 @@ from .tensorio import save_tensor
 log = logging.getLogger(__name__)
 
 
-def _iter_wavs(in_dir: Path, manifest: Path | None):
+def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | None = None):
+    """``{output path: source WAV}``: each WAV ``manifest`` lists, or else each
+    one under ``in_dir``, at its path relative to ``in_dir`` (a listed path
+    outside it: its basename) under ``out_dir``, with ``suffix``. Refuses two
+    sources for one output, then creates every output directory once, parents first."""
     if manifest is not None:
-        for rec in harness.read_manifest_csv(manifest):
-            p = Path(rec["path"])
-            yield p if p.is_absolute() else in_dir / p
+        wavs = [in_dir / rec["path"] for rec in harness.read_manifest_csv(manifest)]
     else:
-        yield from sorted(in_dir.rglob("*.wav"))
+        wavs = sorted(in_dir.rglob("*.wav"))
+    plan: dict[Path, Path] = {}
+    for wav in wavs:
+        rel = wav.relative_to(in_dir) if wav.is_relative_to(in_dir) else wav.name
+        target = (out_dir / rel).with_suffix(suffix)
+        if plan.setdefault(target, wav) != wav:
+            raise ValueError(f"{plan[target]} and {wav} would both write {target}")
+    for directory in sorted({out_dir, *(target.parent for target in plan)}):
+        directory.mkdir(parents=True, exist_ok=True)
+    return plan
 
 
 def _seed_index(text: str) -> int:
@@ -47,17 +58,7 @@ def cmd_featurize(args) -> int:
     if args.template:
         circuit = build_circuit(args.template, PATCH_QUBITS, args.depth, args.circuit_seed)
     suffix, layout = (".gram", "HW") if circuit is None else (".fmap", "CHW")
-    # A manifest path outside --in is named by its basename, so two of them
-    # can map to one output; refuse before writing anything.
-    sources: dict[Path, Path] = {}
-    for wav_path in _iter_wavs(in_dir, args.manifest):
-        rel = wav_path.relative_to(in_dir) if wav_path.is_relative_to(in_dir) else wav_path.name
-        target = (out_dir / rel).with_suffix(suffix)
-        if sources.setdefault(target, wav_path) != wav_path:
-            raise ValueError(f"{sources[target]} and {wav_path} would both write {target}")
-    for directory in sorted({out_dir, *(target.parent for target in sources)}):
-        directory.mkdir(parents=True, exist_ok=True)
-    for target, wav_path in sources.items():
+    for target, wav_path in _plan_outputs(in_dir, out_dir, suffix, args.manifest).items():
         gram = harness.clean_gram(wav_path)
         features = gram if circuit is None else quanv_forward(gram, circuit)
         save_tensor(target, features, layout=layout)
@@ -67,19 +68,16 @@ def cmd_featurize(args) -> int:
 def cmd_corrupt(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     kind = CorruptionKind(args.kind)
-    rels = [wav_path.relative_to(in_dir) for wav_path in _iter_wavs(in_dir, None)]
-    for directory in sorted({out_dir, *(out_dir / rel.parent for rel in rels)}):
-        directory.mkdir(parents=True, exist_ok=True)
     sidecar_rows = []
-    for rel in rels:
-        wav_path = in_dir / rel
+    for target, wav_path in _plan_outputs(in_dir, out_dir, ".wav").items():
         spec = harness.corruption_spec(
             args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
         )
         w = load_wav(wav_path)
         value = corruptmod.draw(spec, w)
-        write_wav(out_dir / rel, corruptmod.apply_drawn(spec, w, value))
-        sidecar_rows.append([str(rel), kind.value, spec.severity_value, value])
+        write_wav(target, corruptmod.apply_drawn(spec, w, value))
+        sidecar_rows.append([str(target.relative_to(out_dir)), kind.value,
+                             spec.severity_value, value])
     harness.write_csv(out_dir / "corruption_log.csv",
                       ["file", "kind", "severity_value", "drawn_parameter"], sidecar_rows)
     return 0
