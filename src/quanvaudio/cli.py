@@ -27,13 +27,18 @@ log = logging.getLogger(__name__)
 
 def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | None = None):
     """``{output path: source WAV}``: each WAV ``manifest`` lists, or else each
-    one under ``in_dir``, at its path relative to ``in_dir`` (a listed path
-    outside it: its basename) under ``out_dir``, with ``suffix``. Refuses two
-    sources for one output, then creates every output directory once, parents first."""
+    one under ``in_dir`` but not under an ``out_dir`` strictly inside it, at
+    its path relative to ``in_dir`` (a listed path outside it: its basename)
+    under ``out_dir``, with ``suffix``. Refuses two sources for one output,
+    then creates every output directory once, parents first."""
     if manifest is not None:
         wavs = [in_dir / rec["path"] for rec in harness.read_manifest_csv(manifest)]
     else:
         wavs = sorted(in_dir.rglob("*.wav"))
+        src, dst = in_dir.resolve(), out_dir.resolve()
+        if dst != src and dst.is_relative_to(src):  # so a rerun reads none of its outputs
+            skip = dst.relative_to(src)
+            wavs = [w for w in wavs if not w.relative_to(in_dir).is_relative_to(skip)]
     plan: dict[Path, Path] = {}
     for wav in wavs:
         rel = wav.relative_to(in_dir) if wav.is_relative_to(in_dir) else wav.name

@@ -126,6 +126,26 @@ def test_corrupt_tree_with_sidecar(toy_root, tmp_path):
     assert all(float(r["severity_value"]) == 0.1 for r in rows)
 
 
+def test_corrupt_rerun_into_its_input_reads_none_of_its_outputs(toy_root, tmp_path):
+    # --out inside --in: a rerun walks the 4 source clips, not the first run's copies too
+    data = tmp_path / "data"
+    for label in ("low", "high"):
+        (data / label).mkdir(parents=True)
+        for src in sorted((toy_root / label).glob("*.wav"))[:2]:
+            (data / label / src.name).write_bytes(src.read_bytes())
+    out = data / "corrupted"
+    argv = ["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
+            "--in", str(data), "--out", str(out)]
+    sources = sorted(str(p.relative_to(data)) for p in data.rglob("*.wav"))
+    logs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        logs.append((out / "corruption_log.csv").read_text())
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*.wav")) == sources
+    assert logs[0] == logs[1]
+    assert [r["file"] for r in csv.DictReader(logs[1].splitlines())] == sources
+
+
 def test_corrupt_severity_zero_copies_input(toy_root, tmp_path):
     out = tmp_path / "clean_copy"
     main([
