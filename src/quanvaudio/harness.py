@@ -119,13 +119,6 @@ def split(
         by_label[row.label].append(row)
     labels = sorted(by_label)
     counts = _apportion_splits({lab: len(by_label[lab]) for lab in labels}, ratios)
-    for label in labels:
-        n_train, n_val, n_test = counts[label]
-        if min(n_train, n_val, n_test) < 1:
-            raise ValueError(
-                f"class {label!r} has only {len(by_label[label])} samples; "
-                "cannot fill all three splits"
-            )
     train, val, test = [], [], []
     for label in labels:
         rows = by_label[label]
@@ -141,7 +134,14 @@ def _apportion_splits(
     class_sizes: dict[str, int], ratios: tuple[float, float, float]
 ) -> dict[str, tuple[int, int, int]]:
     """Largest-remainder allocation of each class over the three splits,
-    constrained so global split sizes hit round(ratio * N)."""
+    constrained so global split sizes hit round(ratio * N), with every class
+    in every split. Refuses what cannot be split so: a class of fewer than
+    3 clips, or a split whose global size is less than the number of classes."""
+    for lab, n in class_sizes.items():
+        if n < 3:
+            raise ValueError(
+                f"class {lab!r} has only {n} samples; cannot fill all three splits"
+            )
     total = sum(class_sizes.values())
     targets = [int(np.floor(r * total)) for r in ratios]
     fracs = sorted(
@@ -149,6 +149,12 @@ def _apportion_splits(
     )
     for s in fracs[: total - sum(targets)]:
         targets[s] += 1
+    for name, target in zip(("train", "val", "test"), targets):
+        if target < len(class_sizes):
+            raise ValueError(
+                f"the {name} split's size is {target}, fewer than the "
+                f"{len(class_sizes)} classes; cannot fill it with every class"
+            )
 
     base = {
         lab: [int(np.floor(r * n)) for r in ratios]
@@ -170,6 +176,17 @@ def _apportion_splits(
                 base[lab][s] += 1
                 left[lab] -= 1
                 deficit[s] -= 1
+    # A class left out of split s has >= 2 clips in the split t where it has
+    # the most, and s then holds >= 2 clips of another class: swap one of each.
+    for lab, vals in base.items():
+        for s in range(3):
+            if vals[s] == 0:
+                t = vals.index(max(vals))
+                other = max(base, key=lambda o: base[o][s])
+                vals[t] -= 1
+                vals[s] += 1
+                base[other][s] -= 1
+                base[other][t] += 1
     return {lab: tuple(vals) for lab, vals in base.items()}
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quanvaudio import harness, nn
@@ -83,28 +83,40 @@ def _largest_remainder(n: int, ratios) -> list[int]:
 @settings(max_examples=300, deadline=None)
 @given(sizes=st.lists(st.integers(1, 60), min_size=2, max_size=5),
        seed=st.integers(min_value=0))
+@example(sizes=[4, 10], seed=0)
+@example(sizes=[3, 10], seed=0)
+@example(sizes=[3, 3], seed=0)
 def test_split_fills_every_split_with_every_class_or_names_the_class(sizes, seed):
-    """Either a ValueError naming a class too small for three splits, or
-    three disjoint splits covering the manifest, each holding every class,
-    whose sizes are the ratios' largest-remainder rounding. A class is too
-    small only if some ratio's floor share of it is 0 clips."""
+    """Three disjoint splits covering the manifest, each holding every class,
+    whose sizes are the ratios' largest-remainder rounding -- exactly when
+    every class has 3 clips and every split's size is at least the number of
+    classes. Otherwise a ValueError naming a class of fewer than 3 clips, or
+    a split with its size and the class count."""
     counts = {f"c{i}": n for i, n in enumerate(sizes)}
+    targets = _largest_remainder(sum(sizes), harness.DEFAULT_RATIOS)
+    splittable = min(sizes) >= 3 and min(targets) >= len(sizes)
     m = _manifest(counts)
     try:
         parts = split(m, seed=seed)
     except ValueError as exc:
+        assert not splittable, str(exc)
         named = re.fullmatch(r"class '(c\d)' has only (\d+) samples; "
                              r"cannot fill all three splits", str(exc))
-        assert named and counts.get(named[1]) == int(named[2]), str(exc)
-        assert min(math.floor(r * int(named[2])) for r in harness.DEFAULT_RATIOS) == 0, str(exc)
+        if named:
+            assert counts.get(named[1]) == int(named[2]) < 3, str(exc)
+            return
+        named = re.fullmatch(r"the (train|val|test) split's size is (\d+), fewer than the "
+                             r"(\d+) classes; cannot fill it with every class", str(exc))
+        assert named, str(exc)
+        size = targets[("train", "val", "test").index(named[1])]
+        assert size == int(named[2]) < int(named[3]) == len(sizes), str(exc)
         return
-    assert min(sizes) >= 3  # a class of fewer clips cannot fill three splits
+    assert splittable
     paths = [[r.path for r in part] for part in parts]
     assert sorted(sum(paths, [])) == sorted(r.path for r in m.rows)  # disjoint and exhaustive
     for part in parts:
         assert {r.label for r in part} == set(counts)
-    assert [len(part) for part in parts] == _largest_remainder(len(m.rows),
-                                                               harness.DEFAULT_RATIOS)
+    assert [len(part) for part in parts] == targets
 
 
 def test_split_seed_determinism():
