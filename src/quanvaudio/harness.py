@@ -684,7 +684,7 @@ def _run_seed(
             continue
         for inst, net in trained:
             try:
-                _, acc, preds = nnmod.evaluate(
+                _, _, preds = nnmod.evaluate(
                     net, _features(test_grams, inst.circuit), labels["test"]
                 )
             except Exception as exc:  # cell failure; keep sweeping
@@ -692,10 +692,12 @@ def _run_seed(
                               seed_idx, inst.model_id, cell)
                 tables["failures.csv"].append(_failure(seed_idx, inst.model_id, kind, sev, exc))
                 continue
-            tables["accuracy.csv"].append(
-                [seed_idx, inst.model_id, inst.template, inst.depth, kind, sev, acc]
-            )
             counts = metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist()
+            # the cell's accuracy is its confusion count's trace over n
+            hits = sum(counts[i][i] for i in range(manifest.n_classes))
+            tables["accuracy.csv"].append(
+                [seed_idx, inst.model_id, inst.template, inst.depth, kind, sev, hits / len(preds)]
+            )
             tables["confusion.csv"] += [
                 [seed_idx, inst.model_id, kind, sev, true, pred, counts[i][j]]
                 for i, true in enumerate(manifest.labels)
