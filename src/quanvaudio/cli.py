@@ -36,7 +36,7 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
     else:
         wavs = sorted(in_dir.rglob("*.wav"))
         src, dst = in_dir.resolve(), out_dir.resolve()
-        if dst != src and dst.is_relative_to(src):  # so a rerun reads none of its outputs
+        if src in dst.parents:  # so a rerun reads none of its outputs
             skip = dst.relative_to(src)
             wavs = [w for w in wavs if not w.relative_to(in_dir).is_relative_to(skip)]
     plan: dict[Path, Path] = {}

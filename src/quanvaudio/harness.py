@@ -693,7 +693,7 @@ def _run_seed(
                 tables["failures.csv"].append(_failure(seed_idx, inst.model_id, kind, sev, exc))
                 continue
             counts = metricsmod.confusion(preds, labels["test"], manifest.n_classes).tolist()
-            # the cell's accuracy is its confusion count's trace over n
+            # the accuracy is the count's trace over n, so the two tables cannot disagree
             hits = sum(counts[i][i] for i in range(manifest.n_classes))
             tables["accuracy.csv"].append(
                 [seed_idx, inst.model_id, inst.template, inst.depth, kind, sev, hits / len(preds)]

@@ -89,9 +89,9 @@ def _largest_remainder(n: int, ratios) -> list[int]:
 def test_split_fills_every_split_with_every_class_or_names_the_class(sizes, seed):
     """Three disjoint splits covering the manifest, each holding every class,
     whose sizes are the ratios' largest-remainder rounding -- exactly when
-    every class has 3 clips and every split's size is at least the number of
-    classes. Otherwise a ValueError naming a class of fewer than 3 clips, or
-    a split with its size and the class count."""
+    every class has at least 3 clips and every split's size is at least the
+    number of classes. Otherwise a ValueError naming a class of fewer than 3
+    clips, or a split with its size and the class count."""
     counts = {f"c{i}": n for i, n in enumerate(sizes)}
     targets = _largest_remainder(sum(sizes), harness.DEFAULT_RATIOS)
     splittable = min(sizes) >= 3 and min(targets) >= len(sizes)
