@@ -119,6 +119,18 @@ def test_split_fills_every_split_with_every_class_or_names_the_class(sizes, seed
     assert [len(part) for part in parts] == targets
 
 
+def test_apportion_splits_repairs_empty_cells_and_keeps_fillable_allocations():
+    """A class the largest-remainder pass leaves out of a split gets one clip
+    swapped in; a manifest that pass already fills keeps its allocation."""
+    apportion = lambda sizes: harness._apportion_splits(sizes, harness.DEFAULT_RATIOS)
+    assert apportion({"a": 4, "b": 10}) == {"a": (2, 1, 1), "b": (7, 1, 2)}
+    assert apportion({"a": 3, "b": 10}) == {"a": (1, 1, 1), "b": (7, 1, 2)}
+    assert apportion({"a": 44, "b": 44, "c": 44}) == {
+        "a": (29, 6, 9), "b": (29, 6, 9), "c": (28, 8, 8)}
+    assert apportion({"a": 10, "b": 40, "c": 25}) == {
+        "a": (7, 1, 2), "b": (26, 6, 8), "c": (16, 4, 5)}
+
+
 def test_split_seed_determinism():
     m = _manifest({"a": 30, "b": 30})
     assert split(m, seed=3) == split(m, seed=3)
