@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import corrupt as corruptmod
 from . import harness
-from .audio import load_wav, write_wav
+from .audio import write_wav
 from .corrupt import CorruptionKind
 from .qsim import Template, build_circuit
 from .quanv import PATCH_QUBITS, quanv_forward
@@ -75,14 +75,10 @@ def cmd_corrupt(args) -> int:
     kind = CorruptionKind(args.kind)
     sidecar_rows = []
     for target, wav_path in _plan_outputs(in_dir, out_dir, ".wav").items():
-        spec = harness.corruption_spec(
-            args.seed, args.seed_index, kind, args.severity, harness.file_sha256(wav_path)
-        )
-        w = load_wav(wav_path)
-        value = corruptmod.draw(spec, w)
-        write_wav(target, corruptmod.apply_drawn(spec, w, value))
+        w, value = harness.corrupt_file(wav_path, args.seed, args.seed_index, kind, args.severity)
+        write_wav(target, w)
         sidecar_rows.append([str(target.relative_to(out_dir)), kind.value,
-                             spec.severity_value, value])
+                             corruptmod.severity_value(kind, args.severity), value])
     harness.write_csv(out_dir / "corruption_log.csv",
                       ["file", "kind", "severity_value", "drawn_parameter"], sidecar_rows)
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
 from . import nn as nnmod
-from .audio import load_wav, log_mel
+from .audio import Waveform, load_wav, log_mel
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
 from .quanv import PATCH_QUBITS, filter_terms, quanv_forward
@@ -193,17 +193,6 @@ def _apportion_splits(
 def derive_seed(master: int, tag: str) -> int:
     digest = hashlib.sha256(f"{master}/{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def corruption_spec(
-    master_seed: int, seed_idx: int, kind: CorruptionKind, severity: int, file_hash: str
-) -> CorruptionSpec:
-    """The corruption of the file with SHA-256 ``file_hash`` in cell
-    (``kind``, ``severity``) of sweep seed ``seed_idx``. The ``corrupt``
-    CLI uses it with its ``--seed-index`` (default 0), so it writes the
-    audio that seed scores."""
-    tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{file_hash}"
-    return CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
 
 
 # What a YAML or JSON value may be for each scalar annotation of ExperimentConfig
@@ -388,9 +377,19 @@ def clean_gram(path: str) -> np.ndarray:
     return log_mel(load_wav(path)).values
 
 
-def corrupted_gram(path: str, spec: CorruptionSpec) -> np.ndarray:
-    """The log-Mel gram of the WAV file at ``path`` under corruption ``spec``."""
-    return log_mel(corruptmod.apply(spec, load_wav(path))).values
+def corrupt_file(
+    path: str | Path, master_seed: int, seed_idx: int, kind: CorruptionKind, severity: int
+) -> tuple[Waveform, float]:
+    """The WAV file at ``path`` corrupted as in cell (``kind``, ``severity``)
+    of sweep seed ``seed_idx``, and the parameter drawn for it. The draw's
+    seed comes from ``master_seed``, the cell and the file's SHA-256. The
+    sweep scores this audio, and the ``corrupt`` CLI (with its
+    ``--seed-index``) writes it and logs the draw."""
+    tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{file_sha256(path)}"
+    spec = CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
+    w = load_wav(path)
+    value = corruptmod.draw(spec, w)
+    return corruptmod.apply_drawn(spec, w, value), value
 
 
 def _features(grams: list[np.ndarray], circuit: CircuitSpec | None) -> np.ndarray:
@@ -618,7 +617,6 @@ def _run_seed(
         )
 
     grams = {r.path: clean_gram(r.path) for r in train_rows + val_rows + test_rows}
-    test_hashes = {r.path: file_sha256(r.path) for r in test_rows}
     labels = {
         name: np.array([manifest.label_index(r) for r in rows])
         for name, rows in (("train", train_rows), ("val", val_rows), ("test", test_rows))
@@ -671,10 +669,8 @@ def _run_seed(
         cell = f"{kind}/{sev}"
         try:
             test_grams = [
-                grams[r.path] if kind == "clean" else corrupted_gram(
-                    r.path, corruption_spec(cfg.master_seed, seed_idx, CorruptionKind(kind), sev,
-                                            test_hashes[r.path]),
-                )
+                grams[r.path] if kind == "clean" else log_mel(corrupt_file(
+                    r.path, cfg.master_seed, seed_idx, CorruptionKind(kind), sev)[0]).values
                 for r in test_rows
             ]
         except Exception as exc:  # no test set for this cell; keep sweeping

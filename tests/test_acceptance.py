@@ -165,19 +165,28 @@ def test_corrupt_cli_writes_the_audio_the_sweep_scores(toy_root, tmp_path, monke
             models=("cnn_base",), severities=(6,), n_seeds=2, master_seed=11,
             lr=1e-3, max_epochs=2, patience=1, batch_size=8,
         )
-        calls = []
-        real_apply = harness.corruptmod.apply
+        # each corrupt_file call applies one draw: record the cell it was
+        # called for, then the spec, value and audio that draw applied
+        cells, applied = [], []
+        real_file, real_apply = harness.corrupt_file, harness.corruptmod.apply_drawn
 
-        def recording_apply(spec, w):
-            out = real_apply(spec, w)
-            calls.append((spec, w, out))
+        def recording_file(path, master_seed, seed_idx, kind, severity):
+            cells.append((seed_idx, kind, Path(path)))
+            return real_file(path, master_seed, seed_idx, kind, severity)
+
+        def recording_apply(spec, w, value):
+            out = real_apply(spec, w, value)
+            applied.append((spec, value, out))
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(harness.corruptmod, "apply", recording_apply)
+            m.setattr(harness, "corrupt_file", recording_file)
+            m.setattr(harness.corruptmod, "apply_drawn", recording_apply)
             # in this process, so that the recording sees both seeds
             assert not run_experiment(cfg, jobs=1).failures
-        assert {spec.kind for spec, _, _ in calls} == set(CorruptionKind)
+        assert len(cells) == len(applied)
+        scored = list(zip(cells, applied))
+        assert {kind for (_, kind, _), _ in scored} == set(CorruptionKind)
 
         checked = 0
         for seed_index in (0, 1):
@@ -188,20 +197,19 @@ def test_corrupt_cli_writes_the_audio_the_sweep_scores(toy_root, tmp_path, monke
                                  "--in", str(toy_root), "--out", str(out_dir)]) == 0
                 with open(out_dir / "corruption_log.csv", newline="") as fh:
                     log_rows = {r["file"]: r for r in csv.DictReader(fh)}
-                scored = [
-                    (spec, w, out) for spec, w, out in calls
-                    if spec == harness.corruption_spec(
-                        11, seed_index, kind, 6, harness.file_sha256(w.source_id))
-                ]
-                assert scored, (seed_index, kind)
-                for spec, w, out in scored:
-                    rel = str(Path(w.source_id).relative_to(toy_root))
+                cell = [(path, spec, value, out) for (s, k, path), (spec, value, out) in scored
+                        if (s, k) == (seed_index, kind)]
+                assert cell, (seed_index, kind)
+                for path, spec, value, out in cell:
+                    assert (spec.kind, spec.severity_index) == (kind, 6)
+                    rel = str(path.relative_to(toy_root))
                     write_wav(tmp_path / "sweep.wav", out)  # 16-bit quantisation
                     assert (out_dir / rel).read_bytes() == (tmp_path / "sweep.wav").read_bytes()
-                    assert float(log_rows[rel]["drawn_parameter"]) == draw(spec, w)
+                    # the value logged is the value the sweep applied
+                    assert float(log_rows[rel]["drawn_parameter"]) == value
                     assert float(log_rows[rel]["severity_value"]) == spec.severity_value
-                checked += len(scored)
-        assert checked == len(calls)  # every corruption the sweep scored
+                checked += len(cell)
+        assert checked == len(scored)  # every corruption the sweep scored
 
 
 def test_dsp_suite():

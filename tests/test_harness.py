@@ -456,16 +456,16 @@ def _diverge_quanv(patch):
 
 
 def _lose_audio(patch, kind, severity):
-    """Make building a corrupted gram of cell (``kind``, ``severity``)
-    raise under ``patch``."""
-    real_gram = harness.corrupted_gram
+    """Make corrupting a test file for cell (``kind``, ``severity``) raise
+    under ``patch``."""
+    real_file = harness.corrupt_file
 
-    def no_audio(path, spec):
-        if (spec.kind.value, spec.severity_index) == (kind, severity):
+    def no_audio(path, master_seed, seed_idx, file_kind, file_severity):
+        if (file_kind.value, file_severity) == (kind, severity):
             raise FileNotFoundError(path)
-        return real_gram(path, spec)
+        return real_file(path, master_seed, seed_idx, file_kind, file_severity)
 
-    patch.setattr(harness, "corrupted_gram", no_audio)
+    patch.setattr(harness, "corrupt_file", no_audio)
 
 
 def test_failures_record_exception_type(toy_root, tmp_path, monkeypatch):
@@ -528,7 +528,7 @@ def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
     """Cell-major loop: each (seed, cell, test file) is corrupted and
     log-Mel'd once and scored by every model."""
     counts = {"apply": 0, "quanv": 0}
-    real_apply, real_quanv = harness.corruptmod.apply, harness.quanv_forward
+    real_apply, real_quanv = harness.corruptmod.apply_drawn, harness.quanv_forward
 
     def counting_apply(*args):
         counts["apply"] += 1
@@ -538,7 +538,7 @@ def test_sweep_builds_each_test_set_once(toy_root, tmp_path, monkeypatch):
         counts["quanv"] += 1
         return real_quanv(*args)
 
-    monkeypatch.setattr(harness.corruptmod, "apply", counting_apply)
+    monkeypatch.setattr(harness.corruptmod, "apply_drawn", counting_apply)
     monkeypatch.setattr(harness, "quanv_forward", counting_quanv)
     train, val, test = split(load_manifest(toy_root))
     n_all, n_test = len(train) + len(val) + len(test), len(test)
