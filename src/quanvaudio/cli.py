@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,9 +29,11 @@ log = logging.getLogger(__name__)
 def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | None = None):
     """``{output path: source WAV}``: each WAV ``manifest`` lists, or else each
     one under ``in_dir`` but not under an ``out_dir`` strictly inside it, at
-    its path relative to ``in_dir`` (a listed path outside it: its basename)
-    under ``out_dir``, with ``suffix``. Refuses two sources for one output,
-    then creates every output directory once, parents first."""
+    its path relative to ``in_dir`` (a listed path outside it once ``..`` is
+    collapsed: its basename) under ``out_dir``, with ``suffix``. Refuses an
+    output outside ``out_dir``, an output that is its own source and two
+    sources for one output, then creates every output directory once,
+    parents first."""
     if manifest is not None:
         wavs = [in_dir / rec["path"] for rec in harness.read_manifest_csv(manifest)]
     else:
@@ -39,10 +42,16 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
         if src in dst.parents:  # so a rerun reads none of its outputs
             skip = dst.relative_to(src)
             wavs = [w for w in wavs if not w.relative_to(in_dir).is_relative_to(skip)]
+    in_norm, out_norm = Path(os.path.normpath(in_dir)), Path(os.path.normpath(out_dir))
     plan: dict[Path, Path] = {}
     for wav in wavs:
-        rel = wav.relative_to(in_dir) if wav.is_relative_to(in_dir) else wav.name
+        norm = Path(os.path.normpath(wav))
+        rel = norm.relative_to(in_norm) if norm.is_relative_to(in_norm) else norm.name
         target = (out_dir / rel).with_suffix(suffix)
+        if out_norm not in Path(os.path.normpath(target)).parents:
+            raise ValueError(f"{wav} would write {target}, outside {out_dir}")
+        if target.exists() and target.samefile(wav):
+            raise ValueError(f"{wav} would be overwritten by its own output")
         if plan.setdefault(target, wav) != wav:
             raise ValueError(f"{plan[target]} and {wav} would both write {target}")
     for directory in sorted({out_dir, *(target.parent for target in plan)}):

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from hashlib import sha256
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,40 @@ def test_featurize_refuses_two_sources_for_one_output(toy_root, tmp_path, capsys
     assert not list(out.rglob("*.gram"))
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its path relative to ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_featurize_keeps_a_manifest_row_with_dotdot_under_out(toy_root, tmp_path):
+    # in/../x.wav lies outside --in, so it is named by its basename under --out
+    (tmp_path / "in").mkdir()
+    src = sorted((toy_root / "low").glob("*.wav"))[0]
+    (tmp_path / "x.wav").write_bytes(src.read_bytes())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\n../x.wav,low\n")
+    before = _tree(tmp_path)
+    out = tmp_path / "out" / "grams"
+    assert main(["featurize", "--in", str(tmp_path / "in"), "--out", str(out),
+                 "--manifest", str(manifest)]) == 0
+    after = _tree(tmp_path)
+    assert set(after) - set(before) == {"out/grams/x.gram"}
+    assert all(after[name] == data for name, data in before.items())
+
+
+def test_featurize_refuses_a_manifest_row_that_would_write_outside_out(toy_root, tmp_path,
+                                                                       capsys):
+    # the row "." is --in itself, whose output would be the sibling out.gram
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\n.,low\n")
+    out = tmp_path / "out"
+    assert main(["featurize", "--in", str(toy_root), "--out", str(out),
+                 "--manifest", str(manifest)]) == 2
+    assert _one_error_line(capsys, "featurize") == (
+        f"{toy_root} would write {tmp_path / 'out.gram'}, outside {out}")
+    assert not out.exists() and not (tmp_path / "out.gram").exists()
+
+
 def test_config_without_data_root_is_one_error_line(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text(f"output_dir: {tmp_path / 'results'}\n")
@@ -144,6 +179,20 @@ def test_corrupt_rerun_into_its_input_reads_none_of_its_outputs(toy_root, tmp_pa
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*.wav")) == sources
     assert logs[0] == logs[1]
     assert [r["file"] for r in csv.DictReader(logs[1].splitlines())] == sources
+
+
+def test_corrupt_refuses_to_overwrite_its_sources(toy_root, tmp_path, capsys):
+    data = tmp_path / "data"
+    for label in ("low", "high"):
+        (data / label).mkdir(parents=True)
+        for src in sorted((toy_root / label).glob("*.wav"))[:2]:
+            (data / label / src.name).write_bytes(src.read_bytes())
+    before = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    assert main(["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
+                 "--in", str(data), "--out", str(data)]) == 2
+    assert _one_error_line(capsys, "corrupt").endswith(" would be overwritten by its own output")
+    after = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    assert len(after) == 4 and after == before
 
 
 def test_corrupt_severity_zero_copies_input(toy_root, tmp_path):
