@@ -1,8 +1,9 @@
 """Time-stretch and resampling primitives shared by the corruptions.
 
 The phase vocoder uses 75%-overlap Hann analysis/synthesis (``audio.stft``)
-with phase accumulation. A rate of exactly 1.0 takes a fast path that
-returns the input untouched, so the clean severity level stays bit-exact.
+and carries its synthesis phase as a running product of unit phasors. A
+rate of exactly 1.0 takes a fast path that returns the input untouched, so
+the clean severity level stays bit-exact.
 """
 
 from __future__ import annotations
@@ -48,8 +49,15 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     rate > 1 speeds the signal up (output is shorter), rate < 1 slows it
     down; output length is approximately len(x)/rate. Output step k reads
     analysis frames i = floor(k*rate) and i+1: its magnitude interpolates
-    theirs, and its phase is frame 0's plus the first k phase advances,
-    summed one after the other (``np.add.accumulate``).
+    theirs, and its phase is frame 0's plus the first k phase advances.
+
+    The classic advance w + princarg(dphi - w), with dphi the phase change
+    from frame i to i+1 and w the bin's hop rotation, differs from dphi by
+    whole turns. So with unit phasors u = S/|S| of the analysis frames, the
+    synthesis phasor is a running product that needs no atan2 or exp:
+    z[0] = u[0], z[k] = z[k-1] * u[i+1] * conj(u[i]) for the previous
+    step's i. A zero bin's phasor is exp(1j*np.angle(bin)): -1 when its real
+    part is -0.0, 1 otherwise.
     """
     if rate <= 0 or not np.isfinite(rate):
         raise ValueError(f"stretch rate must be positive and finite, got {rate}")
@@ -59,33 +67,29 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     n_fft = _VOCODER_NFFT
     hop = n_fft // 4
     window = hann_window(n_fft)
-    spec = stft(x, n_fft, hop, window)
-    n_bins, n_frames = spec.shape
+    # frames-major, the rfft output's own layout
+    spec = stft(x, n_fft, hop, window).T
+    n_frames, n_bins = spec.shape
 
     steps = np.arange(0.0, n_frames, rate)
     # arange's length is rounded up, so the last step can land on n_frames
-    # itself (30 * 0.7 == 21.0); frame i + 1 must stay within the pad column
+    # itself (30 * 0.7 == 21.0); frame i + 1 must stay within the pad frame
     steps = steps[steps < n_frames]
-    spec = np.concatenate([spec, np.zeros((n_bins, 1), dtype=spec.dtype)], axis=1)
-    omega = 2.0 * np.pi * hop * np.arange(n_bins) / n_fft
+    spec = np.concatenate([spec, np.zeros((1, n_bins), dtype=spec.dtype)])
 
-    mags, angles = np.abs(spec), np.angle(spec)
+    mags = np.abs(spec)
+    zero = mags == 0.0
+    phasors = spec / np.where(zero, 1.0, mags)
+    phasors[zero] = np.copysign(1.0, spec.real[zero])
     i = steps.astype(np.intp)
-    frac = steps - i
-    mag = (1.0 - frac) * mags[:, i] + frac * mags[:, i + 1]
-    dphi = angles[:, i + 1] - angles[:, i] - omega[:, None]
-    dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
-    advance = omega[:, None] + dphi
-    phase = np.add.accumulate(
-        np.concatenate([angles[:, :1], advance[:, :-1]], axis=1), axis=1
-    )
-    # mag * exp(i * phase), in place and without the complex multiply of 1j * phase
-    out = np.zeros(phase.shape, dtype=np.complex128)
-    out.imag = phase
-    np.exp(out, out=out)
-    out *= mag
+    frac = (steps - i)[:, None]
+    out = np.empty((steps.shape[0], n_bins), dtype=np.complex128)
+    out[0] = phasors[0]
+    np.multiply(phasors[i[:-1] + 1], np.conj(phasors[i[:-1]]), out=out[1:])
+    np.multiply.accumulate(out, axis=0, out=out)
+    out *= (1.0 - frac) * mags[i] + frac * mags[i + 1]
 
-    y = _overlap_add(out, n_fft, hop, window)
+    y = _overlap_add(out.T, n_fft, hop, window)
     target = int(round(x.shape[0] / rate))
     return fix_length(y, target)
 
