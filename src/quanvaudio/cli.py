@@ -8,6 +8,7 @@ config; the other subcommands expose the individual stages.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import logging
 import os
@@ -30,8 +31,9 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
     """``{output path: source WAV}``: each WAV ``manifest`` lists, or else each
     one under ``in_dir`` but not under an ``out_dir`` strictly inside it, at
     its path relative to ``in_dir`` (a listed path outside it once ``..`` is
-    collapsed: its basename) under ``out_dir``, with ``suffix``. Refuses an
-    output outside ``out_dir``, an output that is its own source and two
+    collapsed: its basename) under ``out_dir``, with ``suffix``. Refuses a
+    WAV under such an ``out_dir`` that its corruption_log.csv does not name,
+    an output outside ``out_dir``, an output that is its own source and two
     sources for one output, then creates every output directory once,
     parents first."""
     if manifest is not None:
@@ -41,7 +43,16 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
         src, dst = in_dir.resolve(), out_dir.resolve()
         if src in dst.parents:  # so a rerun reads none of its outputs
             skip = dst.relative_to(src)
-            wavs = [w for w in wavs if not w.relative_to(in_dir).is_relative_to(skip)]
+            logged = _logged_outputs(out_dir / "corruption_log.csv")
+            kept = []
+            for w in wavs:
+                rel = w.relative_to(in_dir)
+                if not rel.is_relative_to(skip):
+                    kept.append(w)
+                elif rel.relative_to(skip) not in logged:
+                    raise ValueError(f"{w} lies under --out {out_dir} but its "
+                                     f"corruption_log.csv does not name it")
+            wavs = kept
     in_norm, out_norm = Path(os.path.normpath(in_dir)), Path(os.path.normpath(out_dir))
     plan: dict[Path, Path] = {}
     for wav in wavs:
@@ -57,6 +68,15 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
     for directory in sorted({out_dir, *(target.parent for target in plan)}):
         directory.mkdir(parents=True, exist_ok=True)
     return plan
+
+
+def _logged_outputs(log_csv: Path) -> set[Path]:
+    """The files a ``corrupt`` run's corruption_log.csv names, relative to
+    its directory; none when there is no log."""
+    if not log_csv.is_file():
+        return set()
+    with open(log_csv, newline="") as fh:
+        return {Path(row["file"]) for row in csv.DictReader(fh) if row.get("file")}
 
 
 def _seed_index(text: str) -> int:

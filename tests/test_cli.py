@@ -181,6 +181,23 @@ def test_corrupt_rerun_into_its_input_reads_none_of_its_outputs(toy_root, tmp_pa
     assert [r["file"] for r in csv.DictReader(logs[1].splitlines())] == sources
 
 
+def test_corrupt_refuses_an_out_inside_in_holding_sources_it_did_not_write(toy_root, tmp_path,
+                                                                          capsys):
+    # --out is the low/ class directory: its clips are sources, not a run's outputs
+    data = tmp_path / "data"
+    for label in ("low", "high"):
+        (data / label).mkdir(parents=True)
+        for src in sorted((toy_root / label).glob("*.wav"))[:8]:
+            (data / label / src.name).write_bytes(src.read_bytes())
+    before = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    assert main(["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
+                 "--in", str(data), "--out", str(data / "low")]) == 2
+    first_low = sorted((data / "low").glob("*.wav"))[0]
+    assert _one_error_line(capsys, "corrupt").startswith(f"{first_low} lies under --out ")
+    after = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    assert len(after) == 16 and after == before
+
+
 def test_corrupt_refuses_to_overwrite_its_sources(toy_root, tmp_path, capsys):
     data = tmp_path / "data"
     for label in ("low", "high"):
