@@ -8,7 +8,6 @@ config; the other subcommands expose the individual stages.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import logging
 import os
@@ -28,31 +27,17 @@ log = logging.getLogger(__name__)
 
 
 def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | None = None):
-    """``{output path: source WAV}``: each WAV ``manifest`` lists, or else each
-    one under ``in_dir`` but not under an ``out_dir`` strictly inside it, at
-    its path relative to ``in_dir`` (a listed path outside it once ``..`` is
-    collapsed: its basename) under ``out_dir``, with ``suffix``. Refuses a
-    WAV under such an ``out_dir`` that its corruption_log.csv does not name,
-    an output outside ``out_dir``, an output that is its own source and two
-    sources for one output, then creates every output directory once,
-    parents first."""
+    """``{output path: source WAV}``: each WAV under ``in_dir`` (or each one
+    ``manifest`` lists) at its path relative to ``in_dir`` (a listed path outside
+    it once ``..`` is collapsed: its basename) under ``out_dir``, with ``suffix``.
+    Refuses a missing ``in_dir``, an output outside ``out_dir`` or at its own
+    source and two sources for one output, then makes the output directories."""
+    if not in_dir.is_dir():
+        raise ValueError(f"--in {in_dir} is not a directory")
     if manifest is not None:
         wavs = [in_dir / rec["path"] for rec in harness.read_manifest_csv(manifest)]
     else:
         wavs = sorted(in_dir.rglob("*.wav"))
-        src, dst = in_dir.resolve(), out_dir.resolve()
-        if src in dst.parents:  # so a rerun reads none of its outputs
-            skip = dst.relative_to(src)
-            logged = _logged_outputs(out_dir / "corruption_log.csv")
-            kept = []
-            for w in wavs:
-                rel = w.relative_to(in_dir)
-                if not rel.is_relative_to(skip):
-                    kept.append(w)
-                elif rel.relative_to(skip) not in logged:
-                    raise ValueError(f"{w} lies under --out {out_dir} but its "
-                                     f"corruption_log.csv does not name it")
-            wavs = kept
     in_norm, out_norm = Path(os.path.normpath(in_dir)), Path(os.path.normpath(out_dir))
     plan: dict[Path, Path] = {}
     for wav in wavs:
@@ -68,15 +53,6 @@ def _plan_outputs(in_dir: Path, out_dir: Path, suffix: str, manifest: Path | Non
     for directory in sorted({out_dir, *(target.parent for target in plan)}):
         directory.mkdir(parents=True, exist_ok=True)
     return plan
-
-
-def _logged_outputs(log_csv: Path) -> set[Path]:
-    """The files a ``corrupt`` run's corruption_log.csv names, relative to
-    its directory; none when there is no log."""
-    if not log_csv.is_file():
-        return set()
-    with open(log_csv, newline="") as fh:
-        return {Path(row["file"]) for row in csv.DictReader(fh) if row.get("file")}
 
 
 def _seed_index(text: str) -> int:
@@ -102,8 +78,12 @@ def cmd_featurize(args) -> int:
 def cmd_corrupt(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     kind = CorruptionKind(args.kind)
+    if out_dir.resolve().is_relative_to(in_dir.resolve()):  # its copies would be sources
+        raise ValueError(f"--out {out_dir} is --in {in_dir} or lies inside it")
+    plan = _plan_outputs(in_dir, out_dir, ".wav")
+    (out_dir / "corruption_log.csv").unlink(missing_ok=True)  # no log of another run's draws
     sidecar_rows = []
-    for target, wav_path in _plan_outputs(in_dir, out_dir, ".wav").items():
+    for target, wav_path in plan.items():
         w, value = harness.corrupt_file(wav_path, args.seed, args.seed_index, kind, args.severity)
         write_wav(target, w)
         sidecar_rows.append([str(target.relative_to(out_dir)), kind.value,

@@ -161,55 +161,104 @@ def test_corrupt_tree_with_sidecar(toy_root, tmp_path):
     assert all(float(r["severity_value"]) == 0.1 for r in rows)
 
 
-def test_corrupt_rerun_into_its_input_reads_none_of_its_outputs(toy_root, tmp_path):
-    # --out inside --in: a rerun walks the 4 source clips, not the first run's copies too
-    data = tmp_path / "data"
+def _small_tree(toy_root: Path, data: Path, per_class: int) -> dict[str, str]:
+    """Copy ``per_class`` toy clips of each class to ``data``; the SHA-256 of
+    every file under ``data`` by its relative path."""
     for label in ("low", "high"):
         (data / label).mkdir(parents=True)
-        for src in sorted((toy_root / label).glob("*.wav"))[:2]:
+        for src in sorted((toy_root / label).glob("*.wav"))[:per_class]:
             (data / label / src.name).write_bytes(src.read_bytes())
-    out = data / "corrupted"
-    argv = ["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
-            "--in", str(data), "--out", str(out)]
-    sources = sorted(str(p.relative_to(data)) for p in data.rglob("*.wav"))
-    logs = []
+    return _digests(data)
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {name: sha256(data).hexdigest() for name, data in _tree(root).items()}
+
+
+def _corrupt(data: Path, out: Path, seed: int = 5) -> int:
+    return main(["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", str(seed),
+                 "--in", str(data), "--out", str(out)])
+
+
+def _add_unreadable_source(data: Path) -> Path:
+    bad = data / "zbad" / "bad.wav"  # walked after the clips
+    bad.parent.mkdir()
+    bad.write_bytes(b"not a wav")
+    return bad
+
+
+@pytest.mark.parametrize("unreadable", [False, True], ids=["clips", "clips_and_unreadable"])
+def test_corrupt_refuses_an_out_inside_in_before_writing(toy_root, tmp_path, capsys, unreadable):
+    # the copies would be sources of the next run; with an unreadable source, a
+    # run that failed part-way would leave there copies its log does not name
+    data = tmp_path / "data"
+    _small_tree(toy_root, data, 1 if unreadable else 2)
+    if unreadable:
+        _add_unreadable_source(data)
+    before = _digests(data)
+    out = data / ("out" if unreadable else "corrupted")
     for _ in range(2):
-        assert main(argv) == 0
-        logs.append((out / "corruption_log.csv").read_text())
-        assert sorted(str(p.relative_to(out)) for p in out.rglob("*.wav")) == sources
-    assert logs[0] == logs[1]
-    assert [r["file"] for r in csv.DictReader(logs[1].splitlines())] == sources
+        assert _corrupt(data, out) == 2
+        assert _one_error_line(capsys, "corrupt") == f"--out {out} is --in {data} or lies inside it"
+        assert not out.exists()
+        assert _digests(data) == before
 
 
 def test_corrupt_refuses_an_out_inside_in_holding_sources_it_did_not_write(toy_root, tmp_path,
                                                                           capsys):
     # --out is the low/ class directory: its clips are sources, not a run's outputs
     data = tmp_path / "data"
-    for label in ("low", "high"):
-        (data / label).mkdir(parents=True)
-        for src in sorted((toy_root / label).glob("*.wav"))[:8]:
-            (data / label / src.name).write_bytes(src.read_bytes())
-    before = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
-    assert main(["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
-                 "--in", str(data), "--out", str(data / "low")]) == 2
-    first_low = sorted((data / "low").glob("*.wav"))[0]
-    assert _one_error_line(capsys, "corrupt").startswith(f"{first_low} lies under --out ")
-    after = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    before = _small_tree(toy_root, data, 8)
+    assert _corrupt(data, data / "low") == 2
+    assert _one_error_line(capsys, "corrupt") == (
+        f"--out {data / 'low'} is --in {data} or lies inside it")
+    after = _digests(data)
     assert len(after) == 16 and after == before
 
 
 def test_corrupt_refuses_to_overwrite_its_sources(toy_root, tmp_path, capsys):
     data = tmp_path / "data"
-    for label in ("low", "high"):
-        (data / label).mkdir(parents=True)
-        for src in sorted((toy_root / label).glob("*.wav"))[:2]:
-            (data / label / src.name).write_bytes(src.read_bytes())
-    before = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
-    assert main(["corrupt", "--kind", "gaussian_noise", "--severity", "2", "--seed", "5",
-                 "--in", str(data), "--out", str(data)]) == 2
-    assert _one_error_line(capsys, "corrupt").endswith(" would be overwritten by its own output")
-    after = {name: sha256(data).hexdigest() for name, data in _tree(data).items()}
+    before = _small_tree(toy_root, data, 2)
+    assert _corrupt(data, data) == 2
+    assert _one_error_line(capsys, "corrupt") == f"--out {data} is --in {data} or lies inside it"
+    after = _digests(data)
     assert len(after) == 4 and after == before
+
+
+def test_corrupt_refuses_a_link_under_out_to_its_source(toy_root, tmp_path, capsys):
+    # --out is apart from --in, but one of its paths links to a source
+    data, out = tmp_path / "data", tmp_path / "outA"
+    before = _small_tree(toy_root, data, 2)
+    source = sorted((data / "low").glob("*.wav"))[0]
+    (out / "low").mkdir(parents=True)
+    (out / "low" / source.name).symlink_to(source)
+    assert _corrupt(data, out) == 2
+    assert _one_error_line(capsys, "corrupt") == (
+        f"{source} would be overwritten by its own output")
+    assert _digests(data) == before
+    assert [p.relative_to(out) for p in out.rglob("*")] == [Path("low"), Path("low", source.name)]
+
+
+def test_corrupt_that_fails_part_way_leaves_no_log_of_an_earlier_run(toy_root, tmp_path, capsys):
+    # the second run fails on zbad/bad.wav after rewriting the clips: the first
+    # run's log would describe draws those clips no longer hold
+    data, out = tmp_path / "data", tmp_path / "out"
+    _small_tree(toy_root, data, 2)
+    assert _corrupt(data, out, seed=5) == 0
+    assert (out / "corruption_log.csv").is_file()
+    bad = _add_unreadable_source(data)
+    assert _corrupt(data, out, seed=9) == 2
+    assert _one_error_line(capsys, "corrupt").startswith(f"{bad}: ")
+    assert not (out / "corruption_log.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["corrupt", "--kind", "gaussian_noise", "--severity", "2",
+                                      "--seed", "5"], ["featurize"]], ids=["corrupt", "featurize"])
+def test_a_missing_in_is_one_error_line_and_writes_nothing(tmp_path, capsys, command):
+    missing, out = tmp_path / "no_such_dir", tmp_path / "x"
+    assert main([*command, "--in", str(missing), "--out", str(out)]) == 2
+    assert _one_error_line(capsys, command[0]) == f"--in {missing} is not a directory"
+    assert not out.exists()
 
 
 def test_corrupt_severity_zero_copies_input(toy_root, tmp_path):
