@@ -155,10 +155,16 @@ def _parse_wav(raw: bytes) -> tuple[int, np.ndarray]:
 
 def load_wav(path: str | Path) -> Waveform:
     """Read a WAV of 16-bit PCM or 32/64-bit float samples, downmixing channels by mean."""
+    return decode_wav(Path(path).read_bytes(), path)
+
+
+def decode_wav(raw: bytes, name: str | Path) -> Waveform:
+    """The waveform of WAV file bytes ``raw``, as ``load_wav`` reads it;
+    ``name`` is its source id and prefixes any ``AudioFormatError``."""
     try:
-        rate, data = _parse_wav(Path(path).read_bytes())
+        rate, data = _parse_wav(raw)
     except (ValueError, struct.error) as exc:
-        raise AudioFormatError(f"{path}: {exc}") from exc
+        raise AudioFormatError(f"{name}: {exc}") from exc
     if data.dtype.kind == "i":
         samples = data.astype(np.float64) / _INT16_SCALE
     else:
@@ -166,8 +172,8 @@ def load_wav(path: str | Path) -> Waveform:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     if samples.size == 0:
-        raise AudioFormatError(f"{path}: empty audio stream")
-    return Waveform(samples, int(rate), source_id=str(path))
+        raise AudioFormatError(f"{name}: empty audio stream")
+    return Waveform(samples, int(rate), source_id=str(name))
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:

@@ -78,8 +78,11 @@ def cmd_featurize(args) -> int:
 def cmd_corrupt(args) -> int:
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     kind = CorruptionKind(args.kind)
-    if out_dir.resolve().is_relative_to(in_dir.resolve()):  # its copies would be sources
+    in_real, out_real = in_dir.resolve(), out_dir.resolve()
+    if out_real.is_relative_to(in_real):  # its copies would be sources
         raise ValueError(f"--out {out_dir} is --in {in_dir} or lies inside it")
+    if in_real.is_relative_to(out_real):  # its copies could overwrite sources
+        raise ValueError(f"--in {in_dir} lies inside --out {out_dir}")
     plan = _plan_outputs(in_dir, out_dir, ".wav")
     (out_dir / "corruption_log.csv").unlink(missing_ok=True)  # no log of another run's draws
     sidecar_rows = []

@@ -9,7 +9,6 @@ the clean severity level stays bit-exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,28 +93,6 @@ def time_stretch(x: np.ndarray, rate: float) -> np.ndarray:
     return fix_length(y, target)
 
 
-def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
-    """Windowed-sinc resampling; output length ~ len(x) * ratio.
-
-    The ratio is first rounded to the nearest fraction up/down with
-    down <= 1000. For the pitch-shift draws, ratio 2**(-delta/12) with
-    |delta| <= 1.8 semitones (6 sigma_p at severity 6), this moves the
-    pitch by at most 12*log2(1999/1998) ~ 0.00866 semitones (0.87 cents).
-    Neighbouring fractions a/b < c/d with denominators <= 1000 are
-    1/(b*d) apart and b + d > 1000, so rounding changes the ratio by at
-    most a factor 1 + 1/(2*a*d). Within 0.9 < ratio < 1.11 the only
-    fraction with denominator 1 is 1/1; the pairs (999/1000, 1/1) and
-    (1/1, 1001/1000) give a*d = 999 and 1000, and every other pair has
-    b, d >= 2, so a*d >= 0.9*b*d >= 0.9*2*999.
-    """
-    if ratio <= 0 or not np.isfinite(ratio):
-        raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
-    if ratio == 1.0:
-        return x
-    frac = Fraction(ratio).limit_denominator(1000)
-    return _resample_poly(np.asarray(x, dtype=np.float64), frac.numerator, frac.denominator)
-
-
 def _i0(x):
     """The modified Bessel function I0 from its power series
     sum_k ((x/2)**2)**k / (k!)**2, in Horner form; 20 terms reach double
@@ -147,21 +124,37 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
-def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """Polyphase resampling of a 1-D signal by up/down with zero padding.
+def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
+    """Windowed-sinc resampling; output length ~ len(x) * ratio.
 
-    The conventional ``resample_poly`` algorithm (the tests hold it to the
-    reference implementation to 1e-12): filter the zero-stuffed input with
-    ``_lowpass(up, down)``, keep every down-th sample, ceil(len(x)*up/down)
-    outputs. Padding the filter with n_pre_pad = down - half % down zeros
-    and dropping the first n_pre_remove = (half + n_pre_pad) // down
-    outputs cancel, so output m is centred on filter tap half + m*down:
+    The ratio is first rounded to the nearest fraction up/down with
+    down <= 1000, in lowest terms; one that rounds to 1/1 returns ``x``.
+    For the pitch-shift draws, ratio 2**(-delta/12) with
+    |delta| <= 1.8 semitones (6 sigma_p at severity 6), this moves the
+    pitch by at most 12*log2(1999/1998) ~ 0.00866 semitones (0.87 cents).
+    Neighbouring fractions a/b < c/d with denominators <= 1000 are
+    1/(b*d) apart and b + d > 1000, so rounding changes the ratio by at
+    most a factor 1 + 1/(2*a*d). Within 0.9 < ratio < 1.11 the only
+    fraction with denominator 1 is 1/1; the pairs (999/1000, 1/1) and
+    (1/1, 1001/1000) give a*d = 999 and 1000, and every other pair has
+    b, d >= 2, so a*d >= 0.9*b*d >= 0.9*2*999.
+
+    Resampling by up/down is the conventional polyphase ``resample_poly``
+    with zero padding (the tests hold it to the reference implementation
+    to 1e-12): filter the zero-stuffed input with ``_lowpass(up, down)``,
+    keep every down-th sample, ceil(len(x)*up/down) outputs. Padding the
+    filter with n_pre_pad = down - half % down zeros and dropping the
+    first n_pre_remove = (half + n_pre_pad) // down outputs cancel, so
+    output m is centred on filter tap half + m*down:
     y[m] = sum_k h[half + m*down - k*up] * x[k].
     """
-    g = gcd(up, down)
-    up, down = up // g, down // g
-    if up == down == 1:
-        return np.array(x, dtype=np.float64)
+    if ratio <= 0 or not np.isfinite(ratio):
+        raise ValueError(f"resample ratio must be positive and finite, got {ratio}")
+    frac = Fraction(ratio).limit_denominator(1000)
+    up, down = frac.numerator, frac.denominator
+    if up == down:
+        return x
+    x = np.asarray(x, dtype=np.float64)
     n_in = x.shape[0]
     n_out = -(-n_in * up // down)
     h = _lowpass(up, down)

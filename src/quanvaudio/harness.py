@@ -25,7 +25,7 @@ import numpy as np
 from . import corrupt as corruptmod
 from . import metrics as metricsmod
 from . import nn as nnmod
-from .audio import Waveform, load_wav, log_mel
+from .audio import Waveform, decode_wav, load_wav, log_mel
 from .corrupt import CorruptionKind, CorruptionSpec
 from .qsim import CircuitSpec, build_circuit
 from .quanv import PATCH_QUBITS, filter_terms, quanv_forward
@@ -364,14 +364,6 @@ class ModelInstance:
         return self.kind if self.circuit is None else f"{self.kind}_d{self.depth}"
 
 
-def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def clean_gram(path: str) -> np.ndarray:
     """The log-Mel gram of the WAV file at ``path``."""
     return log_mel(load_wav(path)).values
@@ -384,10 +376,11 @@ def corrupt_file(
     of sweep seed ``seed_idx``, and the parameter drawn for it. The draw's
     seed comes from ``master_seed``, the cell and the file's SHA-256. The
     sweep scores this audio, and the ``corrupt`` CLI (with its
-    ``--seed-index``) writes it and logs the draw."""
-    tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{file_sha256(path)}"
+    ``--seed-index``) writes it and logs the draw. The file is read once."""
+    raw = Path(path).read_bytes()
+    tag = f"{seed_idx}/corrupt/{kind.value}/{severity}/{hashlib.sha256(raw).hexdigest()}"
     spec = CorruptionSpec(kind, severity, derive_seed(master_seed, tag))
-    w = load_wav(path)
+    w = decode_wav(raw, path)
     value = corruptmod.draw(spec, w)
     return corruptmod.apply_drawn(spec, w, value), value
 

@@ -225,6 +225,21 @@ def test_corrupt_refuses_to_overwrite_its_sources(toy_root, tmp_path, capsys):
     assert len(after) == 4 and after == before
 
 
+def test_corrupt_refuses_an_in_inside_out_before_writing(toy_root, tmp_path, capsys):
+    # the copy of a/a/x.wav would overwrite the source a/x.wav, before or after
+    # that source is itself corrupted into x.wav
+    data = tmp_path / "data"
+    clips = sorted((toy_root / "low").glob("*.wav"))
+    (data / "a" / "a").mkdir(parents=True)
+    (data / "a" / "x.wav").write_bytes(clips[0].read_bytes())
+    (data / "a" / "a" / "x.wav").write_bytes(clips[1].read_bytes())
+    before = _digests(data)
+    assert _corrupt(data / "a", data) == 2
+    assert _one_error_line(capsys, "corrupt") == f"--in {data / 'a'} lies inside --out {data}"
+    assert _digests(data) == before
+    assert not (data / "corruption_log.csv").exists()
+
+
 def test_corrupt_refuses_a_link_under_out_to_its_source(toy_root, tmp_path, capsys):
     # --out is apart from --in, but one of its paths links to a source
     data, out = tmp_path / "data", tmp_path / "outA"

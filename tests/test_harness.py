@@ -2,6 +2,7 @@
 config round-trips, and a miniature sweep."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quanvaudio import harness, nn
-from quanvaudio.corrupt import CorruptionKind
+from quanvaudio.audio import load_wav
+from quanvaudio.corrupt import CorruptionKind, CorruptionSpec, apply_drawn, draw
 from quanvaudio.harness import (
     DatasetManifest,
     ExperimentConfig,
@@ -155,6 +157,30 @@ def test_derive_seed_deterministic_and_tag_sensitive():
     assert derive_seed(0, "x") == derive_seed(0, "x")
     assert derive_seed(0, "x") != derive_seed(0, "y")
     assert derive_seed(0, "x") != derive_seed(1, "x")
+
+
+def test_corrupt_file_reads_its_source_once_and_seeds_its_draw_from_its_bytes(toy_root):
+    source = sorted((toy_root / "low").glob("*.wav"))[0]
+    opens, recording = [], [True]
+
+    def record_open(event, args):
+        # audit hooks stay installed for the process: this one records only in this test
+        if recording[0] and event == "open" and not isinstance(args[0], int):
+            if Path(os.fsdecode(args[0])) == source:
+                opens.append(args[1])
+
+    sys.addaudithook(record_open)
+    try:
+        w, value = harness.corrupt_file(source, 11, 2, CorruptionKind.SPEED_VARIATION, 4)
+    finally:
+        recording[0] = False
+    assert len(opens) == 1, f"{source} was opened {len(opens)} times (modes {opens})"
+    sha = hashlib.sha256(source.read_bytes()).hexdigest()
+    spec = CorruptionSpec(CorruptionKind.SPEED_VARIATION, 4,
+                          derive_seed(11, f"2/corrupt/speed_variation/4/{sha}"))
+    clean = load_wav(source)
+    assert value == draw(spec, clean) != 1.0
+    np.testing.assert_array_equal(w.samples, apply_drawn(spec, clean, value).samples)
 
 
 # ---------------------------------------------------------------------------
